@@ -16,7 +16,7 @@ namespace vstack::la {
 namespace {
 
 // Kernel-shape telemetry: row counts of matrices entering each backend's
-// prepared form.  Cheap (once per Solver bind, not per SpMV).
+// prepared form.  Cheap (once per Solver bind or refresh, not per SpMV).
 const telemetry::Histogram t_prepared_rows(
     "la.backend.prepared_rows",
     {64.0, 512.0, 4096.0, 32768.0, 262144.0, 2097152.0});

@@ -8,6 +8,10 @@
 namespace vstack::la {
 
 JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
+  refactor(a);
+}
+
+void JacobiPreconditioner::refactor(const CsrMatrix& a) {
   inv_diag_ = a.diagonal();
   for (double& d : inv_diag_) {
     d = (std::abs(d) > 0.0) ? 1.0 / d : 1.0;
@@ -24,7 +28,6 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
     : n_(a.size()),
       row_ptr_(a.row_ptr()),
       col_idx_(a.col_idx()),
-      lu_(a.values()),
       diag_pos_(a.size()) {
   // Locate diagonal entries.
   for (std::size_t r = 0; r < n_; ++r) {
@@ -38,6 +41,13 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
     }
     VS_REQUIRE(found, "ILU(0) requires a structurally nonzero diagonal");
   }
+  refactor(a);
+}
+
+void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
+  VS_REQUIRE(a.size() == n_ && a.nnz() == col_idx_.size(),
+             "ILU(0) refactor: matrix does not carry the bound pattern");
+  lu_ = a.values();
 
   // IKJ-variant ILU(0): for each row i, eliminate using previous rows that
   // appear in row i's pattern.
@@ -87,10 +97,9 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
 }
 
 Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) : n_(a.size()) {
-  // Extract the lower triangle (diagonal included) into a private CSR.
+  // Pattern of the lower triangle (diagonal included) of A.
   const auto& arp = a.row_ptr();
   const auto& aci = a.col_idx();
-  const auto& av = a.values();
   row_ptr_.assign(n_ + 1, 0);
   diag_pos_.resize(n_);
   for (std::size_t r = 0; r < n_; ++r) {
@@ -101,14 +110,12 @@ Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) : n_(a.size()) {
     row_ptr_[r + 1] = row_ptr_[r] + count;
   }
   col_idx_.resize(row_ptr_[n_]);
-  val_.resize(row_ptr_[n_]);
   for (std::size_t r = 0; r < n_; ++r) {
     std::size_t out = row_ptr_[r];
     bool found = false;
     for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
       if (aci[k] > r) break;  // columns are sorted
       col_idx_[out] = aci[k];
-      val_[out] = av[k];
       if (aci[k] == r) {
         diag_pos_[r] = out;
         found = true;
@@ -116,6 +123,22 @@ Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) : n_(a.size()) {
       ++out;
     }
     VS_REQUIRE(found, "IC(0) requires a structurally nonzero diagonal");
+  }
+  refactor(a);
+}
+
+void Ic0Preconditioner::refactor(const CsrMatrix& a) {
+  VS_REQUIRE(a.size() == n_,
+             "IC(0) refactor: matrix does not carry the bound pattern");
+  // Columns are sorted, so row r's lower entries are the first
+  // (row_ptr_[r+1] - row_ptr_[r]) entries of A's row r.
+  const auto& arp = a.row_ptr();
+  const auto& av = a.values();
+  val_.resize(row_ptr_[n_]);
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      val_[k] = av[arp[r] + (k - row_ptr_[r])];
+    }
   }
 
   // Row-oriented IC(0): L(i,j) = (A(i,j) - sum_m L(i,m) L(j,m)) / L(j,j)

@@ -13,12 +13,20 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(const Vector& r, Vector& z) const = 0;
+
+  /// Numeric refactorization in the existing storage for `a`, which must
+  /// carry the sparsity pattern this preconditioner was built on (new
+  /// values only).  Same arithmetic as construction, so the result is
+  /// bit-identical to a freshly built preconditioner of `a`; throws
+  /// vstack::Error exactly where construction would.
+  virtual void refactor(const CsrMatrix& a) = 0;
 };
 
 /// Identity (no preconditioning).
 class IdentityPreconditioner final : public Preconditioner {
  public:
   void apply(const Vector& r, Vector& z) const override { z = r; }
+  void refactor(const CsrMatrix&) override {}
 };
 
 /// Diagonal (Jacobi) preconditioner.  Rows with zero diagonal pass through.
@@ -26,6 +34,7 @@ class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
+  void refactor(const CsrMatrix& a) override;
 
  private:
   Vector inv_diag_;
@@ -38,6 +47,7 @@ class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
+  void refactor(const CsrMatrix& a) override;
 
  private:
   // LU factors share A's sparsity pattern: strictly-lower entries hold L
@@ -60,6 +70,7 @@ class Ic0Preconditioner final : public Preconditioner {
  public:
   explicit Ic0Preconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
+  void refactor(const CsrMatrix& a) override;
 
  private:
   // CSR of the lower triangle of A (diagonal included); after factorization

@@ -26,11 +26,18 @@ const telemetry::Histogram t_attempt_iters(
     "la.solve.attempt_iterations",
     {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0});
 
-// Handle-lifecycle telemetry: binds counts Solver constructions; the
-// per-backend solve counters show which kernel set actually ran.
+// Handle-lifecycle telemetry: binds counts Solver constructions, refreshes
+// the in-place re-binds after a value refill; the per-backend solve counters
+// (solve() and iterate_once() alike) show which kernel set actually ran.
 const telemetry::Counter t_binds("la.solver.binds");
+const telemetry::Counter t_refreshes("la.solver.refreshes");
 const telemetry::Counter t_solves_reference("la.solver.solves.reference");
 const telemetry::Counter t_solves_optimized("la.solver.solves.optimized");
+
+void count_solve(const Backend& backend) {
+  (&backend == &optimized_backend() ? t_solves_optimized : t_solves_reference)
+      .add();
+}
 
 bool all_finite(const Vector& v) {
   for (const double d : v) {
@@ -46,23 +53,32 @@ double relative_residual(const CsrMatrix& a, const Vector& b,
   return norm2(subtract(b, a.multiply(x))) / b_norm;
 }
 
-/// Build the requested preconditioner tier, degrading down the ladder
-/// (IC(0) -> ILU(0) -> Jacobi -> identity) when a factorization is
-/// impossible -- e.g. IC(0) on an indefinite fault-damaged matrix, or
-/// ILU(0) on a structurally zero diagonal.
-std::unique_ptr<Preconditioner> build_precond(const CsrMatrix& a,
-                                              PrecondKind kind, bool use_ilu0,
-                                              bool symmetric,
-                                              std::string& label) {
+/// Build the requested preconditioner tier into `precond`, degrading down
+/// the ladder (IC(0) -> ILU(0) -> Jacobi -> identity) when a factorization
+/// is impossible -- e.g. IC(0) on an indefinite fault-damaged matrix, or
+/// ILU(0) on a structurally zero diagonal.  A tier that `precond` already
+/// holds (per `label`, from an earlier build on the same pattern) is
+/// refactored in place instead of rebuilt.
+void build_precond(const CsrMatrix& a, PrecondKind kind, bool use_ilu0,
+                   bool symmetric, std::unique_ptr<Preconditioner>& precond,
+                   std::string& label) {
+  const auto take = [&](const char* tier, auto make) {
+    if (precond && label == tier) {
+      precond->refactor(a);
+    } else {
+      precond = make(a);
+      label = tier;
+    }
+  };
   if (kind == PrecondKind::Identity) {
-    label = "identity";
-    return make_identity();
+    take("identity", [](const CsrMatrix&) { return make_identity(); });
+    return;
   }
   if (kind == PrecondKind::Ic0) {
     if (symmetric) {
       try {
-        label = "ic0";
-        return make_ic0(a);
+        take("ic0", make_ic0);
+        return;
       } catch (const Error&) {
         VS_LOG_WARN("IC(0) factorization broke down; falling back to ILU(0)");
       }
@@ -75,14 +91,13 @@ std::unique_ptr<Preconditioner> build_precond(const CsrMatrix& a,
       (kind == PrecondKind::Auto && use_ilu0);
   if (want_ilu0) {
     try {
-      label = "ilu0";
-      return make_ilu0(a);
+      take("ilu0", make_ilu0);
+      return;
     } catch (const Error&) {
       VS_LOG_WARN("ILU(0) factorization unavailable; using Jacobi");
     }
   }
-  label = "jacobi";
-  return make_jacobi(a);
+  take("jacobi", make_jacobi);
 }
 
 /// Copy of `a` with `shift * max|diag|` added to every diagonal entry; used
@@ -186,18 +201,28 @@ Solver::Solver(const CsrMatrix& a, SolveOptions options)
       options_(options),
       backend_(&resolve_backend(options.backend)) {
   t_binds.add();
+  bind();
+}
+
+void Solver::refresh() {
+  VS_SPAN("la.solver.refresh");
+  t_refreshes.add();
+  bind();
+}
+
+void Solver::bind() {
   kind_ = options_.kind;
   const bool symmetric =
       kind_ == SolverKind::Cg ||
       ((kind_ == SolverKind::Auto || options_.preconditioner ==
-        PrecondKind::Ic0) && a.is_symmetric(1e-12));
+        PrecondKind::Ic0) && a_->is_symmetric(1e-12));
   if (kind_ == SolverKind::Auto) {
     kind_ = symmetric ? SolverKind::Cg : SolverKind::BiCgStab;
   }
-  prepared_ = backend_->prepare(a);
+  prepared_ = backend_->prepare(*a_);
   if (kind_ != SolverKind::DenseLu) {
-    precond_ = build_precond(a, options_.preconditioner, options_.use_ilu0,
-                             symmetric, precond_label_);
+    build_precond(*a_, options_.preconditioner, options_.use_ilu0, symmetric,
+                  precond_, precond_label_);
   }
 }
 
@@ -209,8 +234,7 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
                           const IterativeOptions& iterative) {
   VS_SPAN("la.solve");
   t_calls.add();
-  (backend_ == &optimized_backend() ? t_solves_optimized : t_solves_reference)
-      .add();
+  count_solve(*backend_);
   VS_REQUIRE(b.size() == a_->size(), "solve: rhs size mismatch");
   if (x.size() != a_->size()) x.assign(a_->size(), 0.0);
 
@@ -326,6 +350,7 @@ SolveReport Solver::iterate_once(const Vector& b, Vector& x,
                                  const IterativeOptions& iterative) {
   VS_REQUIRE(kind_ != SolverKind::DenseLu,
              "iterate_once: dense-LU binds have no iterative primary method");
+  count_solve(*backend_);
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   if (kind_ == SolverKind::Cg) {
     return conjugate_gradient(*a_, b, x, *precond_, iterative, ctx);

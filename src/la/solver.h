@@ -21,8 +21,10 @@
 // Every rung restarts from the caller's initial guess, runs under a
 // per-attempt iteration budget with stagnation detection, and is recorded
 // in SolveReport::attempts.  The bound matrix must outlive the Solver and
-// must not move or change values while bound; callers that rebuild their
-// matrix (topology epoch bumps) rebuild the Solver with it.
+// must not move while bound.  Callers that rebuild their matrix (topology
+// epoch bumps) rebuild the Solver with it; callers that only refill its
+// values on the same pattern (CsrMatrix::refresh_values) call refresh(),
+// which redoes every value-dependent bind step in the existing storage.
 //
 // The legacy free function la::solve (la/solve.h) is a thin shim over a
 // temporary Solver and is DEPRECATED for repeated solves: it re-prepares
@@ -116,6 +118,14 @@ class Solver {
   SolveReport iterate_once(const Vector& b, Vector& x,
                            const IterativeOptions& iterative);
 
+  /// Re-bind after the bound matrix's values changed in place on the same
+  /// sparsity pattern: re-runs the Auto symmetry probe, re-prepares the
+  /// backend form, and refactors the bound preconditioner numerically in
+  /// its existing storage.  A failing refactor degrades down the same
+  /// IC(0) -> ILU(0) -> Jacobi chain as construction, so afterwards every
+  /// solve is bit-identical to one on a freshly constructed Solver.
+  void refresh();
+
   const CsrMatrix& matrix() const { return *a_; }
   const Backend& backend() const { return *backend_; }
   const SolveOptions& options() const { return options_; }
@@ -126,6 +136,10 @@ class Solver {
   const std::string& preconditioner_label() const { return precond_label_; }
 
  private:
+  /// The value-dependent half of binding, shared by construction and
+  /// refresh().
+  void bind();
+
   const CsrMatrix* a_;
   SolveOptions options_;
   const Backend* backend_;

@@ -20,39 +20,69 @@ void CooBuilder::add(std::size_t row, std::size_t col, double value) {
 }
 
 CsrMatrix CooBuilder::build() const {
-  // Sort entry indices by (row, col), then merge duplicates.
-  std::vector<std::size_t> order(rows_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (rows_[a] != rows_[b]) return rows_[a] < rows_[b];
-    return cols_[a] < cols_[b];
-  });
+  CooPattern p = pattern();
+  std::vector<double> values(p.nnz());
+  p.merge(values_, values.data());
+  return CsrMatrix(n_, std::move(p.row_ptr_), std::move(p.col_idx_),
+                   std::move(values));
+}
 
-  // row_ptr holds per-row entry counts during the merge pass and is turned
-  // into cumulative offsets afterwards.
-  std::vector<std::size_t> row_ptr(n_ + 1, 0);
-  std::vector<std::size_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(order.size());
-  values.reserve(order.size());
+CooPattern CooBuilder::pattern() const {
+  CooPattern p;
+  p.n_ = n_;
+  // Sort entry indices by (row, col); duplicates form contiguous runs.
+  p.order_.resize(rows_.size());
+  std::iota(p.order_.begin(), p.order_.end(), 0);
+  std::sort(p.order_.begin(), p.order_.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (rows_[a] != rows_[b]) return rows_[a] < rows_[b];
+              return cols_[a] < cols_[b];
+            });
 
+  // row_ptr holds per-row entry counts during the pass and is turned into
+  // cumulative offsets afterwards.
+  p.row_ptr_.assign(n_ + 1, 0);
+  p.col_idx_.reserve(p.order_.size());
+  p.run_ptr_.reserve(p.order_.size() + 1);
   std::size_t prev_row = n_;  // sentinel: no previous entry
   std::size_t prev_col = n_;
-  for (const std::size_t e : order) {
-    if (!values.empty() && rows_[e] == prev_row && cols_[e] == prev_col) {
-      values.back() += values_[e];
-      continue;
-    }
-    col_idx.push_back(cols_[e]);
-    values.push_back(values_[e]);
-    row_ptr[rows_[e] + 1]++;
+  for (std::size_t s = 0; s < p.order_.size(); ++s) {
+    const std::size_t e = p.order_[s];
+    if (rows_[e] == prev_row && cols_[e] == prev_col) continue;
+    p.col_idx_.push_back(cols_[e]);
+    p.run_ptr_.push_back(s);
+    p.row_ptr_[rows_[e] + 1]++;
     prev_row = rows_[e];
     prev_col = cols_[e];
   }
-  for (std::size_t r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
+  p.run_ptr_.push_back(p.order_.size());
+  for (std::size_t r = 0; r < n_; ++r) p.row_ptr_[r + 1] += p.row_ptr_[r];
+  return p;
+}
 
-  return CsrMatrix(n_, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+void CooPattern::merge(const std::vector<double>& values, double* out) const {
+  VS_REQUIRE(values.size() == order_.size(),
+             "scatter: one value per triplet required");
+  for (std::size_t k = 0; k + 1 < run_ptr_.size(); ++k) {
+    double sum = values[order_[run_ptr_[k]]];
+    for (std::size_t s = run_ptr_[k] + 1; s < run_ptr_[k + 1]; ++s) {
+      sum += values[order_[s]];
+    }
+    out[k] = sum;
+  }
+}
+
+CsrMatrix CooPattern::scatter(const std::vector<double>& values) const {
+  std::vector<double> merged(nnz());
+  merge(values, merged.data());
+  return CsrMatrix(n_, row_ptr_, col_idx_, std::move(merged));
+}
+
+void CooPattern::scatter(const std::vector<double>& values,
+                         CsrMatrix& into) const {
+  VS_REQUIRE(into.size() == n_ && into.nnz() == nnz(),
+             "scatter: matrix does not carry this pattern");
+  into.refresh_values([&](double* out) { merge(values, out); });
 }
 
 CsrMatrix::CsrMatrix(std::size_t n, std::vector<std::size_t> row_ptr,

@@ -1,5 +1,6 @@
 #include "pdn/transient_core.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -14,7 +15,6 @@ namespace {
 
 const telemetry::Counter t_cache_hits("pdn.step_solver.cache.hits");
 const telemetry::Counter t_cache_misses("pdn.step_solver.cache.misses");
-const telemetry::Counter t_cache_evictions("pdn.step_solver.cache.evictions");
 const telemetry::Counter t_cache_epoch_invalidations(
     "pdn.step_solver.cache.epoch_invalidations");
 const telemetry::Counter t_rebuilds("pdn.topology.rebuilds");
@@ -30,21 +30,28 @@ std::uint64_t bits_of(double x) {
   return b;
 }
 
+la::SolveOptions ladder_options(const PdnTransientOptions& options) {
+  la::SolveOptions ladder;
+  ladder.iterative = options.iterative;
+  return ladder;
+}
+
 }  // namespace
 
-la::CsrMatrix SplitSystem::assemble(double h, bool backward_euler) const {
+void SplitSystem::values_at(double h, bool backward_euler,
+                            std::vector<double>& values) const {
   const double s = backward_euler ? 1.0 : 2.0;
-  la::CooBuilder builder(n);
-  for (const auto& t : static_part) builder.add(t.i, t.j, t.v);
-  for (const auto& t : cap_part) builder.add(t.i, t.j, t.v * s / h);
-  for (const auto& t : ind_part) builder.add(t.i, t.j, t.v * h / s);
-  return builder.build();
+  values.clear();
+  values.reserve(static_part.size() + cap_part.size() + ind_part.size());
+  for (const auto& t : static_part) values.push_back(t.v);
+  for (const auto& t : cap_part) values.push_back(t.v * s / h);
+  for (const auto& t : ind_part) values.push_back(t.v * h / s);
 }
 
 bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
                        la::Vector& x, double t, sim::TransientReport& report,
                        std::string& diagnostic) {
-  Cached& c = cached(h, backward_euler, t, report);
+  Slot& c = cached(h, backward_euler, t, report);
   if (c.direct) {
     la::Vector sol = c.direct->solve(rhs);
     if (sim::finite_and_bounded(sol, options_.control.overflow_limit)) {
@@ -69,9 +76,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   // Final rung: the full non-throwing escalation ladder from PR 1.  Slots
   // that went direct-only build their iterative handle on first need.
   if (!c.solver) {
-    la::SolveOptions ladder;
-    ladder.iterative = options_.iterative;
-    c.solver = std::make_unique<la::Solver>(c.matrix, ladder);
+    c.solver = std::make_unique<la::Solver>(c.matrix, ladder_options(options_));
   }
   la::Vector iterate = x;
   const auto r = c.solver->solve(rhs, iterate, options_.iterative);
@@ -84,48 +89,77 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   return false;
 }
 
-StepSolver::Cached& StepSolver::cached(double h, bool backward_euler, double t,
-                                       sim::TransientReport& report) {
-  // The epoch in the key is what makes mid-run faults safe: applying a
-  // FaultSet bumps the network's topology epoch, rebuild_topology() stamps it
-  // into the split system, and every pre-fault factorization silently misses.
-  const Key key{bits_of(h), backward_euler, sys_.epoch};
-  if (last_seen_epoch_ != static_cast<std::size_t>(-1) &&
-      sys_.epoch != last_seen_epoch_) {
-    t_cache_epoch_invalidations.add();
+StepSolver::Slot& StepSolver::cached(double h, bool backward_euler, double t,
+                                     sim::TransientReport& report) {
+  // The epoch is what makes mid-run faults safe: applying a FaultSet bumps
+  // the network's topology epoch, rebuild_topology() stamps it into the split
+  // system (with a new pattern), and every pre-fault slot is dropped.
+  if (sys_.epoch != last_seen_epoch_) {
+    if (last_seen_epoch_ != static_cast<std::size_t>(-1)) {
+      t_cache_epoch_invalidations.add();
+    }
+    slots_.clear();
+    last_seen_epoch_ = sys_.epoch;
   }
-  last_seen_epoch_ = sys_.epoch;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    t_cache_hits.add();
-    return it->second;
+  ++use_clock_;
+  const std::uint64_t dt_bits = bits_of(h);
+  for (const auto& slot : slots_) {
+    if (slot->dt_bits == dt_bits && slot->backward_euler == backward_euler) {
+      t_cache_hits.add();
+      slot->last_use = use_clock_;
+      return *slot;
+    }
   }
   t_cache_misses.add();
-  if (cache_.size() > 16) {  // bound adaptive-dt / epoch growth
-    t_cache_evictions.add(static_cast<double>(cache_.size()));
-    cache_.clear();
-  }
 
-  Cached c;
-  c.matrix = sys_.assemble(h, backward_euler);
+  // Miss: fill a new slot while there is room, else recycle the least
+  // recently used one in place (same epoch, so same pattern).
+  Slot* slot = nullptr;
+  {
+    VS_SPAN("pdn.step.assemble");
+    sys_.values_at(h, backward_euler, values_);
+    if (slots_.size() < kSlots) {
+      slots_.push_back(std::make_unique<Slot>());
+      slot = slots_.back().get();
+      slot->matrix = sys_.pattern.scatter(values_);
+    } else {
+      slot = std::min_element(slots_.begin(), slots_.end(),
+                              [](const auto& a, const auto& b) {
+                                return a->last_use < b->last_use;
+                              })
+                 ->get();
+      sys_.pattern.scatter(values_, slot->matrix);
+    }
+  }
+  slot->dt_bits = dt_bits;
+  slot->backward_euler = backward_euler;
+  slot->last_use = use_clock_;
+  factor(*slot, h, t, report);
+  return *slot;
+}
+
+void StepSolver::factor(Slot& slot, double h, double t,
+                        sim::TransientReport& report) {
+  slot.direct.reset();
   if (sys_.n <= options_.direct_solver_node_limit) {
     try {
-      c.direct = std::make_unique<la::ReorderedCholesky>(c.matrix);
+      slot.direct = std::make_unique<la::ReorderedCholesky>(slot.matrix);
     } catch (const Error&) {
       report.record_event(t, "skyline Cholesky factorization failed for "
                              "dt = " + std::to_string(h) +
                              " s; using the iterative ladder");
     }
   }
-  // Insert first, bind after: the solver handle points at the matrix, so it
-  // must be created once the Cached slot has its final map residence.
-  Cached& slot = cache_.emplace(key, std::move(c)).first->second;
-  if (!slot.direct) {
-    la::SolveOptions ladder;
-    ladder.iterative = options_.iterative;
-    slot.solver = std::make_unique<la::Solver>(slot.matrix, ladder);
+  if (slot.direct) {
+    // Like a fresh slot, a direct slot binds its iterative handle only on
+    // first need; one bound to the previous values is stale.
+    slot.solver.reset();
+  } else if (slot.solver) {
+    slot.solver->refresh();
+  } else {
+    slot.solver =
+        std::make_unique<la::Solver>(slot.matrix, ladder_options(options_));
   }
-  return slot;
 }
 
 TransientWorkspace::TransientWorkspace(const PdnNetwork& net,
@@ -226,6 +260,13 @@ void TransientWorkspace::rebuild_topology() {
   const double inv_l = 1.0 / options_.package_inductance;
   sys_.ind_part.push_back({lvdd_mid_, lvdd_mid_, inv_l});
   sys_.ind_part.push_back({lgnd_mid_, lgnd_mid_, inv_l});
+
+  la::CooBuilder keys(sys_.n);
+  for (const auto* part :
+       {&sys_.static_part, &sys_.cap_part, &sys_.ind_part}) {
+    for (const auto& t : *part) keys.add(t.i, t.j, 0.0);
+  }
+  sys_.pattern = keys.pattern();
 }
 
 void TransientWorkspace::init_states(const PdnSolution& dc, la::Vector& x) {

@@ -7,17 +7,18 @@
 // the model's network so mid-run fault events never mutate caller state).
 // After any topology mutation -- an injected fault, a supervisor action --
 // the caller invokes TransientWorkspace::rebuild_topology(), which
-// reassembles the split system and advances its epoch stamp; StepSolver
-// keys its factorization/preconditioner cache on that epoch, so a stale
-// factorization of the pre-fault topology can never be reused (see
-// docs/fault_model.md section on dynamic faults).
+// reassembles the split system and its sparsity pattern and advances its
+// epoch stamp; StepSolver keys its factorization/preconditioner cache on
+// that epoch, so a stale factorization of the pre-fault topology can never
+// be reused (see docs/fault_model.md section on dynamic faults).  Within one
+// epoch the pattern is fixed, so a step at a new dt only refills values and
+// refactors (docs/transient_engine.md, "Step-matrix cache").
 //
 // This header is an implementation detail of vstack_pdn; it is not part of
 // the public modeling API.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,13 +50,25 @@ struct SplitSystem {
   std::vector<Trip> static_part;
   std::vector<Trip> cap_part;
   std::vector<Trip> ind_part;
+  /// Sparsity pattern of static_part, cap_part, ind_part (in that order);
+  /// fixed for the epoch, whatever (dt, scheme) is assembled.
+  la::CooPattern pattern;
 
-  la::CsrMatrix assemble(double h, bool backward_euler) const;
+  /// Triplet values of A(h), in pattern order.
+  void values_at(double h, bool backward_euler,
+                 std::vector<double>& values) const;
 };
 
 /// Per-(dt, scheme, topology epoch) cached factorization / solver handle
 /// with a solve that escalates instead of throwing: skyline Cholesky (small
 /// systems) -> warm-started CG -> la::Solver's full degradation ladder.
+///
+/// The cache is a few slots, least recently used first out.  A miss within
+/// the current epoch recycles a slot: its matrix values are refilled in
+/// place through the epoch's pattern and its solver handle is refreshed
+/// (la::Solver::refresh), never rebuilt, so the cost of a miss is a scatter
+/// and a numeric refactorization.  Results are bit-identical to a fresh
+/// StepSolver per step.  An epoch change drops every slot.
 class StepSolver {
  public:
   StepSolver(const SplitSystem& sys, const PdnTransientOptions& options)
@@ -69,38 +82,42 @@ class StepSolver {
              std::string& diagnostic);
 
  private:
-  struct Key {
+  /// Slots held per epoch: one per scheme covers fixed-step runs (a BE
+  /// start, then trapezoidal); adaptive runs rarely repeat a dt exactly.
+  static constexpr std::size_t kSlots = 2;
+
+  /// One cached step matrix.  Heap-allocated so `solver`'s pointer to
+  /// `matrix` stays valid while the slot list changes.
+  struct Slot {
     std::uint64_t dt_bits = 0;
     bool backward_euler = false;
-    std::size_t epoch = 0;
-    bool operator<(const Key& o) const {
-      if (epoch != o.epoch) return epoch < o.epoch;
-      if (dt_bits != o.dt_bits) return dt_bits < o.dt_bits;
-      return backward_euler < o.backward_euler;
-    }
-  };
-
-  struct Cached {
+    std::uint64_t last_use = 0;
     la::CsrMatrix matrix;
     std::unique_ptr<la::ReorderedCholesky> direct;
     /// Iterative-rung handle bound to `matrix` (owns the preconditioner,
-    /// backend preparation, and Krylov workspace).  Built when the direct
+    /// backend preparation, and Krylov workspace).  Kept when the direct
     /// factorization is skipped or fails; otherwise created lazily the
-    /// first time a direct solve goes non-finite.  Always constructed
-    /// AFTER the Cached slot reaches its final address in the cache map --
-    /// the handle stores a pointer to `matrix`.
+    /// first time a direct solve goes non-finite.
     std::unique_ptr<la::Solver> solver;
   };
 
-  Cached& cached(double h, bool backward_euler, double t,
-                 sim::TransientReport& report);
+  Slot& cached(double h, bool backward_euler, double t,
+               sim::TransientReport& report);
+
+  /// Factor `slot.matrix` (just filled for step size h): skyline Cholesky
+  /// when the system is small enough, else bind or refresh the iterative
+  /// handle.
+  void factor(Slot& slot, double h, double t, sim::TransientReport& report);
 
   const SplitSystem& sys_;
   const PdnTransientOptions& options_;
-  std::map<Key, Cached> cache_;
-  // Last epoch a lookup saw; a change means a topology mutation invalidated
-  // every cached factorization (telemetry: pdn.step_solver.cache.*).
+  /// Slots of epoch `last_seen_epoch_`, the last epoch a lookup saw; a
+  /// change means a topology mutation invalidated every cached
+  /// factorization (telemetry: pdn.step_solver.cache.*).
+  std::vector<std::unique_ptr<Slot>> slots_;
   std::size_t last_seen_epoch_ = static_cast<std::size_t>(-1);
+  std::uint64_t use_clock_ = 0;
+  std::vector<double> values_;  // triplet-value scratch for refills
 };
 
 /// Companion-state workspace shared by the load-step and ride-through
@@ -120,10 +137,11 @@ class TransientWorkspace {
   std::size_t layer_count() const { return layer_count_; }
   std::size_t cells() const { return cells_; }
 
-  /// Reassemble the split system from the network's CURRENT conductor and
-  /// converter lists and stamp it with the network's topology epoch.  Cheap
-  /// (O(nnz) triplet rebuild); called once at construction and after every
-  /// mid-run fault event or supervisor action.
+  /// Reassemble the split system and its sparsity pattern from the
+  /// network's CURRENT conductor and converter lists and stamp it with the
+  /// network's topology epoch.  One triplet rebuild and one sort; called
+  /// once at construction and after every mid-run fault event or
+  /// supervisor action.
   void rebuild_topology();
 
   /// Initialize companion states and the unknown vector from the pre-event

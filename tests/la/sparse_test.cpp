@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "common/error.h"
 
 namespace vstack::la {
@@ -27,6 +34,135 @@ TEST(CooBuilderTest, RejectsOutOfRangeStamp) {
 
 TEST(CooBuilderTest, RejectsZeroDimension) {
   EXPECT_THROW(CooBuilder(0), Error);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void expect_bit_identical(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.row_ptr(), b.row_ptr());
+  ASSERT_EQ(a.col_idx(), b.col_idx());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (std::size_t k = 0; k < a.nnz(); ++k) {
+    ASSERT_EQ(bits(a.values()[k]), bits(b.values()[k])) << "entry " << k;
+  }
+}
+
+/// Random stamps on a 40-node system, each (row, col) drawn from a small
+/// key set so most positions collect several duplicates; values span
+/// magnitudes so the summation order shows in the low bits.
+struct Stamps {
+  std::vector<std::size_t> rows, cols;
+  std::vector<double> values(std::mt19937_64& rng) const {
+    std::uniform_real_distribution<double> mant(-1.0, 1.0);
+    std::uniform_int_distribution<int> expo(-12, 12);
+    std::vector<double> v(rows.size());
+    for (double& x : v) x = std::ldexp(mant(rng), expo(rng));
+    return v;
+  }
+};
+
+Stamps duplicate_heavy_stamps(std::mt19937_64& rng) {
+  Stamps s;
+  std::uniform_int_distribution<std::size_t> node(0, 39);
+  for (int k = 0; k < 600; ++k) {
+    const std::size_t i = node(rng);
+    const std::size_t j = k % 3 == 0 ? i : node(rng) % 8;
+    s.rows.push_back(i);
+    s.cols.push_back(j);
+  }
+  return s;
+}
+
+CsrMatrix build_from(const Stamps& s, const std::vector<double>& v) {
+  CooBuilder b(40);
+  for (std::size_t k = 0; k < v.size(); ++k) b.add(s.rows[k], s.cols[k], v[k]);
+  return b.build();
+}
+
+/// Independent reference for the assembly order: sort triplet indices by
+/// (row, col) with the same std::sort call, then sum each run of equal keys
+/// left to right into the previous entry.
+CsrMatrix reference_assembly(const Stamps& s, const std::vector<double>& v) {
+  std::vector<std::size_t> order(v.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (s.rows[a] != s.rows[b]) return s.rows[a] < s.rows[b];
+    return s.cols[a] < s.cols[b];
+  });
+  std::vector<std::size_t> row_ptr(41, 0), col_idx;
+  std::vector<double> values;
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const std::size_t e = order[p];
+    const std::size_t prev = p > 0 ? order[p - 1] : e;
+    if (p > 0 && s.rows[prev] == s.rows[e] && s.cols[prev] == s.cols[e]) {
+      values.back() += v[e];
+      continue;
+    }
+    col_idx.push_back(s.cols[e]);
+    values.push_back(v[e]);
+    row_ptr[s.rows[e] + 1]++;
+  }
+  for (std::size_t r = 0; r < 40; ++r) row_ptr[r + 1] += row_ptr[r];
+  return CsrMatrix(40, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+TEST(CooPatternTest, ScatterIsBitIdenticalToBuild) {
+  std::mt19937_64 rng(20150607);
+  const Stamps stamps = duplicate_heavy_stamps(rng);
+  const std::vector<double> first = stamps.values(rng);
+  CooBuilder keys(40);
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    keys.add(stamps.rows[k], stamps.cols[k], first[k]);
+  }
+  const CooPattern pattern = keys.pattern();
+  ASSERT_LT(pattern.nnz(), first.size());  // duplicates really merged
+
+  CsrMatrix refilled = pattern.scatter(first);
+  expect_bit_identical(refilled, keys.build());
+  expect_bit_identical(refilled, reference_assembly(stamps, first));
+  // New value sets through the same pattern: a fresh scatter and an
+  // in-place refill both equal a full re-assembly.
+  for (int round = 0; round < 5; ++round) {
+    const std::vector<double> v = stamps.values(rng);
+    const CsrMatrix built = build_from(stamps, v);
+    expect_bit_identical(built, reference_assembly(stamps, v));
+    expect_bit_identical(pattern.scatter(v), built);
+    pattern.scatter(v, refilled);
+    expect_bit_identical(refilled, built);
+  }
+}
+
+TEST(CooPatternTest, RefillResetsTheSymmetryMemo) {
+  CooBuilder b(2);
+  b.add(0, 0, 1.0);
+  b.add(0, 1, 0.5);
+  b.add(1, 0, 0.5);
+  b.add(1, 1, 1.0);
+  const CooPattern pattern = b.pattern();
+  CsrMatrix a = pattern.scatter({1.0, 0.5, 0.5, 1.0});
+  EXPECT_TRUE(a.is_symmetric());  // memoized "yes"
+  pattern.scatter({1.0, 0.5, -0.5, 1.0}, a);
+  EXPECT_FALSE(a.is_symmetric());
+  pattern.scatter({2.0, 0.25, 0.25, 2.0}, a);
+  EXPECT_TRUE(a.is_symmetric());
+}
+
+TEST(CooPatternTest, ScatterRejectsMismatchedInputs) {
+  CooBuilder b(3);
+  b.add(0, 0, 1.0);
+  b.add(2, 1, 1.0);
+  const CooPattern pattern = b.pattern();
+  EXPECT_THROW(pattern.scatter({1.0}), Error);  // one value per triplet
+  CooBuilder other(3);
+  other.add(1, 1, 1.0);
+  CsrMatrix wrong = other.build();
+  EXPECT_THROW(pattern.scatter({1.0, 2.0}, wrong), Error);
 }
 
 TEST(CsrMatrixTest, MultiplyIdentity) {

@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "floorplan/floorplan.h"
 #include "power/workload.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::pdn {
 namespace {
@@ -86,6 +87,37 @@ RideThroughOptions with_fault(const PdnModel& model, std::size_t level,
   o.transient.fault_events.push_back(ev);
   return o;
 }
+
+#if VSTACK_TELEMETRY_ENABLED
+TEST(RideThroughTest, SolverBindsScaleWithTopologyRebuildsNotSteps) {
+  // Regression guard for step-matrix churn.  Adaptive stepping proposes a
+  // fresh dt nearly every step, so the step cache misses on most steps; a
+  // miss must refill and refresh an existing slot, not bind a new
+  // la::Solver.  Binds therefore track topology rebuilds (a few slots per
+  // epoch, plus the DC operating point), never the accepted steps.
+  PdnModel model(stacked(4), paper_fp());
+  auto o = with_fault(model, 1, 32, 100e-9, 400e-9);
+  o.transient.direct_solver_node_limit = 0;  // force the iterative rung
+
+  const auto before = telemetry::snapshot();
+  const auto r = simulate_ride_through(model, cpm(), imbalanced(4), o);
+  const auto after = telemetry::snapshot();
+  ASSERT_TRUE(r.report.ok()) << r.report.transient.diagnostic;
+  const auto delta = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  const double binds = delta("la.solver.binds");
+  const double rebuilds = delta("pdn.topology.rebuilds");
+  const double misses = delta("pdn.step_solver.cache.misses");
+  const double accepted = delta("sim.transient.accepted_steps");
+  ASSERT_GE(rebuilds, 2.0);  // construction + the fault
+  EXPECT_GT(misses, 50.0);
+  EXPECT_GT(accepted, 50.0);
+  EXPECT_LE(binds, 4.0 * rebuilds);
+  // Every miss past the first fill of the slots is a refresh.
+  EXPECT_GE(delta("la.solver.refreshes"), misses - binds);
+}
+#endif
 
 TEST(RideThroughTest, HealthyRunNeverTrips) {
   PdnModel model(stacked(4), paper_fp());

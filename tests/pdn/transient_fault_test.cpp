@@ -297,5 +297,48 @@ TEST(PdnFaultEventTest, StepSolverCacheIsInvalidatedByTheTopologyEpoch) {
   EXPECT_GT(delta, 1e-12);
 }
 
+TEST(PdnFaultEventTest, RecycledStepSlotsMatchAFreshSolverPerStep) {
+  // The step cache recycles its slots in place (value refill + solver
+  // refresh) instead of rebuilding them.  Stepping one StepSolver through
+  // many distinct dt values, both schemes, repeats (cache hits) and a
+  // fault rebuild must reproduce, bit for bit, a fresh StepSolver per step.
+  PdnModel model(small_stack(2), paper_fp());
+  PdnNetwork net = model.network();
+  PdnTransientOptions o = fast_options();
+  o.direct_solver_node_limit = 0;  // force the iterative rung
+
+  detail::TransientWorkspace ws(net, o);
+  detail::StepSolver cached(ws.system(), o);
+  const std::size_t n = ws.n();
+  la::Vector rhs(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) rhs[i] = 1e-3 * double(1 + i % 5);
+  sim::TransientReport report;
+  std::string diag;
+
+  la::Vector x_cached(n, 0.0);
+  la::Vector x_fresh(n, 0.0);
+  std::size_t distinct = 0;
+  for (std::size_t k = 0; k < 30; ++k) {
+    if (k == 17) {
+      kill_level_converters(model, 1, 4).apply_to(net);
+      ws.rebuild_topology();
+    }
+    // Mostly new dt values; every fifth step repeats the previous one.
+    const bool repeat = k % 5 == 4;
+    if (!repeat) ++distinct;
+    const std::size_t key = repeat ? k - 1 : k;
+    const double h = 1e-10 * (1.0 + 0.37 * double(key));
+    const bool be = (key / 2) % 2 == 0;
+    const double t = 1e-9 * double(k);
+    ASSERT_TRUE(cached.solve(h, be, rhs, x_cached, t, report, diag)) << diag;
+    detail::StepSolver fresh(ws.system(), o);
+    ASSERT_TRUE(fresh.solve(h, be, rhs, x_fresh, t, report, diag)) << diag;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x_cached[i], x_fresh[i]) << "step " << k << " entry " << i;
+    }
+  }
+  EXPECT_GE(distinct, 20u);
+}
+
 }  // namespace
 }  // namespace vstack::pdn
