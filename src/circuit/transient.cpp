@@ -339,24 +339,11 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
   la::Vector x;
 
   for (std::size_t step = 0; step < n_steps; ++step) {
+    if (sim::budget_exhausted(options.control, step, wall_start,
+                              static_cast<double>(step) * h, report)) {
+      break;
+    }
     const double t_new = static_cast<double>(step + 1) * h;
-    if (options.control.max_steps > 0 &&
-        report.accepted_steps >= options.control.max_steps) {
-      report.status = sim::TransientStatus::BudgetExhausted;
-      report.diagnostic = "step budget of " +
-                          std::to_string(options.control.max_steps) +
-                          " exhausted at t = " + std::to_string(t_new) +
-                          " s; result truncated";
-      break;
-    }
-    if (options.control.wall_clock_budget_s > 0.0 &&
-        monotonic_seconds() - wall_start >
-            options.control.wall_clock_budget_s) {
-      report.status = sim::TransientStatus::BudgetExhausted;
-      report.diagnostic = "wall-clock budget exhausted at t = " +
-                          std::to_string(t_new) + " s; result truncated";
-      break;
-    }
     // Evaluate switch state at the midpoint of the step so events that land
     // exactly on a boundary take effect in the step that follows them.
     const std::vector<bool> state =
@@ -393,11 +380,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     report.end_time = t_new;
   }
 
-  report.min_dt = eng.result.time.empty() ? 0.0 : h;
-  report.max_dt = report.min_dt;
-  report.last_dt = report.min_dt;
-  report.wall_seconds = monotonic_seconds() - wall_start;
-  sim::record_transient_telemetry(report, wall_start);
+  sim::finalize_fixed_run(report, h, wall_start);
   return eng.result;
 }
 

@@ -6,8 +6,6 @@
 
 namespace vstack {
 
-namespace {
-
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = x;
@@ -15,6 +13,8 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

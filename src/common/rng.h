@@ -10,6 +10,11 @@
 
 namespace vstack {
 
+/// splitmix64: advance `state` by the golden-ratio increment and return a
+/// well-mixed 64-bit output.  Expands Rng seeds; also a deterministic hash
+/// mixer on its own.
+std::uint64_t splitmix64(std::uint64_t& state);
+
 /// xoshiro256** PRNG.  Small, fast, high-quality; deterministic across
 /// platforms (unlike std::default_random_engine) which matters because the
 /// benches print numbers that EXPERIMENTS.md records.

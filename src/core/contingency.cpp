@@ -191,18 +191,36 @@ ContingencyReport ContingencyEngine::make_baseline_report(
   return report;
 }
 
-void ContingencyEngine::classify_and_append(ContingencyReport& report,
-                                            ContingencyCase one) const {
-  switch (one.outcome) {
-    case CaseOutcome::Survivable: ++report.survivable; break;
-    case CaseOutcome::Degraded:   ++report.degraded;   break;
-    case CaseOutcome::Infeasible: ++report.infeasible; break;
-  }
-  if (one.solved) {
-    report.worst_post_fault_deviation = std::max(
-        report.worst_post_fault_deviation, one.max_node_deviation_fraction);
-  }
-  report.cases.push_back(std::move(one));
+void run_cases(ContingencyReport& report, std::size_t count,
+               const ExecutionPolicy& execution,
+               const std::function<ContingencyCase(std::size_t)>& evaluate) {
+  std::vector<ContingencyCase> evaluated(count);
+  report.planned = count;
+  bool truncated = false;
+  const TaskPool pool(execution);
+  pool.run_ordered(
+      count, [&](std::size_t i) { evaluated[i] = evaluate(i); },
+      [&](std::size_t i) {
+        // Drop deadline-truncated cases and everything after them: the
+        // committed cases stay a contiguous prefix of real verdicts.
+        if (truncated || evaluated[i].deadline_truncated) {
+          truncated = true;
+          return;
+        }
+        ContingencyCase& one = evaluated[i];
+        switch (one.outcome) {
+          case CaseOutcome::Survivable: ++report.survivable; break;
+          case CaseOutcome::Degraded:   ++report.degraded;   break;
+          case CaseOutcome::Infeasible: ++report.infeasible; break;
+        }
+        if (one.solved) {
+          report.worst_post_fault_deviation =
+              std::max(report.worst_post_fault_deviation,
+                       one.max_node_deviation_fraction);
+        }
+        report.cases.push_back(std::move(one));
+      });
+  report.cancelled = report.cases.size() < count;
 }
 
 ContingencyReport ContingencyEngine::run_n_minus_1(
@@ -219,32 +237,15 @@ ContingencyReport ContingencyEngine::run_n_minus_1(
   // Each case solves its own freshly built, freshly damaged model, so the
   // sweep fans out on the worker pool; the ordered commit keeps the report
   // identical to a serial sweep.
-  std::vector<ContingencyCase> evaluated(cases);
-  report.planned = cases;
-  bool truncated = false;
-  const TaskPool pool(options.execution);
-  pool.run_ordered(
-      cases,
-      [&](std::size_t k) {
-        const EmRiskEntry& entry = report.ranking[k];
-        pdn::FaultSet faults;
-        faults.open_conductor(entry.conductor_index);
-        std::ostringstream label;
-        label << "N-1 open[" << pdn::conductor_kind_name(entry.kind) << "#"
-              << entry.conductor_index << " x" << entry.count << "]";
-        evaluated[k] =
-            evaluate_case(faults, layer_activities, options, label.str());
-      },
-      [&](std::size_t k) {
-        // Drop deadline-truncated cases and everything after them: the
-        // committed cases stay a contiguous prefix of real verdicts.
-        if (truncated || evaluated[k].deadline_truncated) {
-          truncated = true;
-          return;
-        }
-        classify_and_append(report, std::move(evaluated[k]));
-      });
-  report.cancelled = report.cases.size() < cases;
+  run_cases(report, cases, options.execution, [&](std::size_t k) {
+    const EmRiskEntry& entry = report.ranking[k];
+    pdn::FaultSet faults;
+    faults.open_conductor(entry.conductor_index);
+    std::ostringstream label;
+    label << "N-1 open[" << pdn::conductor_kind_name(entry.kind) << "#"
+          << entry.conductor_index << " x" << entry.count << "]";
+    return evaluate_case(faults, layer_activities, options, label.str());
+  });
   return report;
 }
 
@@ -335,24 +336,10 @@ ContingencyReport ContingencyEngine::run_monte_carlo(
                     probe.network().node_count(), options);
   // All RNG consumption happened in sample_trials; evaluation is pure, so
   // trials fan out on the worker pool and commit in trial order.
-  std::vector<ContingencyCase> evaluated(plan.size());
-  report.planned = plan.size();
-  bool truncated = false;
-  const TaskPool pool(options.execution);
-  pool.run_ordered(
-      plan.size(),
-      [&](std::size_t i) {
-        evaluated[i] = evaluate_case(plan[i].faults, layer_activities,
-                                     options, plan[i].label);
-      },
-      [&](std::size_t i) {
-        if (truncated || evaluated[i].deadline_truncated) {
-          truncated = true;
-          return;
-        }
-        classify_and_append(report, std::move(evaluated[i]));
-      });
-  report.cancelled = report.cases.size() < plan.size();
+  run_cases(report, plan.size(), options.execution, [&](std::size_t i) {
+    return evaluate_case(plan[i].faults, layer_activities, options,
+                         plan[i].label);
+  });
   return report;
 }
 

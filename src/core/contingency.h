@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,18 @@ struct ContingencyReport {
   bool cancelled = false;
 };
 
+/// Evaluate `count` independent cases on `execution`'s worker pool and
+/// commit them into `report` in case order: outcome counts, the worst
+/// post-fault deviation over solved cases, and the case list.  A
+/// deadline-truncated case is no verdict, so it and every case after it
+/// are dropped and `report.cases` stays a contiguous prefix.  Sets
+/// `report.planned` and `report.cancelled`.  The commit path of every N-1
+/// and Monte Carlo run, synthesized (ContingencyEngine) or imported
+/// (pgio/campaign.h).
+void run_cases(ContingencyReport& report, std::size_t count,
+               const ExecutionPolicy& execution,
+               const std::function<ContingencyCase(std::size_t)>& evaluate);
+
 class ContingencyEngine {
  public:
   ContingencyEngine(const StudyContext& ctx, pdn::StackupConfig config);
@@ -174,8 +187,6 @@ class ContingencyEngine {
   ContingencyReport make_baseline_report(
       const std::vector<double>& layer_activities,
       const ContingencyOptions& options) const;
-  void classify_and_append(ContingencyReport& report,
-                           ContingencyCase one) const;
 
   const StudyContext& ctx_;
   pdn::StackupConfig config_;

@@ -12,8 +12,7 @@
 //   * a KrylovWorkspace, so the CG/BiCGSTAB loops allocate nothing after
 //     the first solve.
 //
-// solve() runs the same graceful-degradation ladder the free-function
-// la::solve always has:
+// solve() runs the graceful-degradation ladder:
 //
 //   CG -> BiCGSTAB -> BiCGSTAB with a rebuilt, diagonally-shifted ILU ->
 //   dense LU (systems up to dense_fallback_max_size unknowns)
@@ -25,11 +24,8 @@
 // epoch bumps) rebuild the Solver with it; callers that only refill its
 // values on the same pattern (CsrMatrix::refresh_values) call refresh(),
 // which redoes every value-dependent bind step in the existing storage.
-//
-// The legacy free function la::solve (la/solve.h) is a thin shim over a
-// temporary Solver and is DEPRECATED for repeated solves: it re-prepares
-// the matrix, re-probes symmetry, and re-factorizes the preconditioner on
-// every call.  See docs/linear_algebra.md for the migration guide.
+// A one-shot solve is Solver(a, options).solve(b, x).  See
+// docs/linear_algebra.md.
 #pragma once
 
 #include <memory>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -265,11 +264,6 @@ RideThroughResult simulate_ride_through(
                      return a->time < b->time;
                    });
 
-  const double dt_max = std::min(topt.time_step, topt.duration);
-  sim::StepController ctl(topt.control, 0.0, topt.duration, dt_max / 8.0,
-                          dt_max);
-  constexpr int kBeStartupSteps = 2;
-  int be_left = kBeStartupSteps;
   const double event_tol = 1e-12 * topt.duration;
 
   // Timeline: every fault instant plus the supervisor's sensing ticks, all
@@ -284,35 +278,17 @@ RideThroughResult simulate_ride_through(
   std::vector<double> layer_droop(cfg.layer_count, 0.0);
   std::vector<bool> layer_down(cfg.layer_count, false);
 
-  std::vector<double> cap_slope(ws.cap_voltages().size(), 0.0);
-  std::vector<double> v_new(cap_slope.size(), 0.0);
-  std::vector<double> v_pred(cap_slope.size(), 0.0);
-  la::Vector rhs(n, 0.0);
-  la::Vector candidate = x;
-  std::string diagnostic;
-
-  const auto record_sample = [&](double t, const la::Vector& sol) {
-    result.time.push_back(t);
-    result.worst_noise.push_back(ws.worst_noise_of(sol));
-    result.supply_current.push_back(ws.supply_inductor_current());
-  };
-
-  // Integration history is invalid across any discontinuity (fault, load
-  // change, supervisor mutation): BE restart at a reduced step.
-  const auto restart_integration = [&] {
-    be_left = kBeStartupSteps;
-    ctl.reset_dt(dt_max / 16.0);
-  };
-
-  while (!ctl.done() && !ctl.failed()) {
-    const double t = ctl.time();
+  detail::AdaptiveStepper stepper(ws, solver, topt, std::move(x));
+  sim::TransientReport& trail = stepper.report();
+  while (stepper.running()) {
+    const double t = stepper.time();
     bool discontinuity = false;
 
-    // 1. Injected fault events whose instant this boundary landed on.
+    // 1. Injected fault events whose instant this boundary landed on.  The
+    // surge's loads are built on the pre-fault network.
     while (next_pending < pending.size() &&
            pending[next_pending]->time <= t + event_tol) {
       const TimedFaultEvent& ev = *pending[next_pending++];
-      const std::string label = ev.label.empty() ? "fault event" : ev.label;
       if (!ev.activities.empty()) {
         live_activities = ev.activities;
         for (std::size_t l = 0; l < layer_down.size(); ++l) {
@@ -320,31 +296,23 @@ RideThroughResult simulate_ride_through(
         }
         live_loads = net.build_loads(core_model, live_activities);
         discontinuity = true;
-        ctl.report().record_event(t, "load surge '" + label + "' applied");
       }
-      if (!ev.faults.empty()) {
-        ev.faults.apply_to(net);
-        ws.rebuild_topology();
+      if (detail::apply_fault_event(ev, net, ws, t, trail)) {
         discontinuity = true;
-        ctl.report().record_event(
-            t, "fault event '" + label + "' applied (" +
-                   std::to_string(ev.faults.size()) +
-                   " faults, topology epoch " +
-                   std::to_string(net.topology_epoch()) + ")");
       }
     }
 
     // 2. Sensing plane: the supervisor samples the live solution at every
     // elapsed sense tick; its actions mutate the network / loads.
     while (t >= next_sense - event_tol) {
-      ws.worst_noise_of(x, &layer_droop);
+      ws.worst_noise_of(stepper.solution(), &layer_droop);
       for (std::size_t l = 0; l < layer_down.size(); ++l) {
         if (layer_down[l]) layer_droop[l] = 0.0;  // off rails are not sensed
       }
       const auto fired = supervisor.observe(t, layer_droop);
       for (const auto& action : fired) {
         rep.actions.push_back(action);
-        ctl.report().record_event(t, "supervisor: " + action.describe());
+        trail.record_event(t, "supervisor: " + action.describe());
         const std::size_t down_before = rep.shutdown_layers.size();
         if (translator.apply(action, live_activities, rep.shutdown_layers)) {
           ws.rebuild_topology();
@@ -358,54 +326,22 @@ RideThroughResult simulate_ride_through(
       }
       next_sense += options.supervisor.sense_interval;
     }
-    if (discontinuity) restart_integration();
+    // Integration history is invalid across any discontinuity (fault, load
+    // change, supervisor mutation); sense ticks alone are passive
+    // boundaries and do not restart it.
+    if (discontinuity) stepper.restart();
 
-    // 3. One integration step (same discipline as simulate_load_step's
-    // adaptive mode; sense ticks are passive boundaries, no restart).
-    const double dt = ctl.begin_step(schedule.next_after(t));
-    if (ctl.failed()) break;
-    const bool be = be_left > 0;
-    ws.build_rhs(live_loads, dt, be, rhs);
-    candidate = x;  // warm start; x stays the last accepted solution
-    if (!solver.solve(dt, be, rhs, candidate, t, ctl.report(), diagnostic)) {
-      ctl.reject_step("linear solve failure");
-      continue;
+    // 3. One integration step.
+    if (stepper.step(live_loads, schedule.next_after(t))) {
+      result.time.push_back(stepper.time());
+      result.worst_noise.push_back(ws.worst_noise_of(stepper.solution()));
+      result.supply_current.push_back(ws.supply_inductor_current());
     }
-    if (!sim::finite_and_bounded(candidate, topt.control.overflow_limit)) {
-      ctl.reject_step("NaN/overflow guard");
-      continue;
-    }
-    const auto& cap_v = ws.cap_voltages();
-    for (std::size_t l = 0; l < ws.layer_count(); ++l) {
-      for (std::size_t cell = 0; cell < ws.cells(); ++cell) {
-        const std::size_t k = l * ws.cells() + cell;
-        v_new[k] = candidate[net.vdd_node(l, cell)] -
-                   candidate[net.gnd_node(l, cell)];
-      }
-    }
-    double err = 0.0;
-    if (!be) {
-      for (std::size_t k = 0; k < cap_v.size(); ++k) {
-        v_pred[k] = cap_v[k] + cap_slope[k] * dt;
-      }
-      err = sim::error_norm(v_new, v_pred, topt.control.rel_tol,
-                            topt.control.abs_tol);
-    }
-    if (!ctl.finish_step(err, be ? 1 : 2)) continue;
-
-    for (std::size_t k = 0; k < cap_v.size(); ++k) {
-      cap_slope[k] = (v_new[k] - cap_v[k]) / dt;
-    }
-    ws.commit_states(candidate, dt, be);
-    x = candidate;
-    record_sample(ctl.time(), x);
-    if (be_left > 0) --be_left;
   }
-  ctl.finalize();
-  rep.transient = ctl.report();
+  rep.transient = stepper.finish();
 
   // Final droop over the rails still alive.
-  ws.worst_noise_of(x, &layer_droop);
+  ws.worst_noise_of(stepper.solution(), &layer_droop);
   double final_droop = 0.0;
   for (std::size_t l = 0; l < layer_droop.size(); ++l) {
     if (!layer_down[l]) final_droop = std::max(final_droop, layer_droop[l]);

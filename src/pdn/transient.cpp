@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -20,10 +19,9 @@ using telemetry::monotonic_seconds;
 /// or an injected TimedFaultEvent (with its loads pre-built).
 struct PendingEvent {
   double time = 0.0;
-  const FaultSet* faults = nullptr;  // null for the built-in load step
+  const TimedFaultEvent* event = nullptr;  // null for the built-in load step
   std::vector<LoadInjection> loads;
   bool has_loads = false;
-  std::string label;
 };
 
 }  // namespace
@@ -80,25 +78,15 @@ PdnTransientResult simulate_load_step(
 
   // --- Unified one-shot timeline: load step + injected fault events. ---
   std::vector<PendingEvent> pending;
-  {
-    PendingEvent step_event;
-    step_event.time = options.step_time;
-    step_event.loads = loads_after;
-    step_event.has_loads = true;
-    step_event.label = "load step";
-    pending.push_back(std::move(step_event));
-  }
+  pending.push_back({options.step_time, nullptr, loads_after, true});
   for (const auto& ev : options.fault_events) {
-    PendingEvent p;
-    p.time = ev.time;
-    p.faults = &ev.faults;
+    PendingEvent p{ev.time, &ev, {}, false};
     if (!ev.activities.empty()) {
       VS_REQUIRE(ev.activities.size() == cfg.layer_count,
                  "fault-event activities must match layer count");
       p.loads = net.build_loads(core_model, ev.activities);
       p.has_loads = true;
     }
-    p.label = ev.label.empty() ? "fault event" : ev.label;
     pending.push_back(std::move(p));
   }
   std::stable_sort(pending.begin(), pending.end(),
@@ -118,25 +106,14 @@ PdnTransientResult simulate_load_step(
            pending[next_pending].time <= t + tol) {
       const PendingEvent& ev = pending[next_pending++];
       if (ev.has_loads) live_loads = &ev.loads;
-      if (ev.faults == nullptr) continue;  // built-in load step: no trail
-      if (ev.has_loads) {
-        report.record_event(t, "load surge '" + ev.label + "' applied");
-      }
-      if (!ev.faults->empty()) {
-        ev.faults->apply_to(net);
-        ws.rebuild_topology();
+      // The built-in load step leaves no trail.
+      if (ev.event != nullptr &&
+          detail::apply_fault_event(*ev.event, net, ws, t, report)) {
         topology_changed = true;
-        report.record_event(
-            t, "fault event '" + ev.label + "' applied (" +
-                   std::to_string(ev.faults->size()) +
-                   " faults, topology epoch " +
-                   std::to_string(net.topology_epoch()) + ")");
       }
     }
     return topology_changed;
   };
-
-  la::Vector rhs(n, 0.0);
 
   const auto record_sample = [&](double t, const la::Vector& sol) {
     const double noise = ws.worst_noise_of(sol);
@@ -148,8 +125,6 @@ PdnTransientResult simulate_load_step(
       result.peak_time = t;
     }
   };
-
-  std::string diagnostic;
 
   if (!options.adaptive) {
     // --- Legacy uniform grid (bit-compatible waveforms when no fault
@@ -165,26 +140,15 @@ PdnTransientResult simulate_load_step(
 
     sim::TransientReport& report = result.report;
     const double wall_start = monotonic_seconds();
+    la::Vector rhs(n, 0.0);
+    std::string diagnostic;
 
     for (std::size_t step = 0; step < n_steps; ++step) {
+      if (sim::budget_exhausted(options.control, step, wall_start,
+                                static_cast<double>(step) * h, report)) {
+        break;
+      }
       const double t_new = static_cast<double>(step + 1) * h;
-      if (options.control.max_steps > 0 &&
-          report.accepted_steps >= options.control.max_steps) {
-        report.status = sim::TransientStatus::BudgetExhausted;
-        report.diagnostic = "step budget of " +
-                            std::to_string(options.control.max_steps) +
-                            " exhausted at t = " + std::to_string(t_new) +
-                            " s; result truncated";
-        break;
-      }
-      if (options.control.wall_clock_budget_s > 0.0 &&
-          monotonic_seconds() - wall_start >
-              options.control.wall_clock_budget_s) {
-        report.status = sim::TransientStatus::BudgetExhausted;
-        report.diagnostic = "wall-clock budget exhausted at t = " +
-                            std::to_string(t_new) + " s; result truncated";
-        break;
-      }
       apply_events_through(t_new, 0.0, report);
       ws.build_rhs(*live_loads, h, /*be=*/false, rhs);
       if (!solver.solve(h, /*be=*/false, rhs, x, t_new, report, diagnostic)) {
@@ -198,90 +162,32 @@ PdnTransientResult simulate_load_step(
       ++report.accepted_steps;
       report.end_time = t_new;
     }
-    report.min_dt = result.time.empty() ? 0.0 : h;
-    report.max_dt = report.min_dt;
-    report.last_dt = report.min_dt;
-    report.wall_seconds = monotonic_seconds() - wall_start;
-    sim::record_transient_telemetry(report, wall_start);
+    sim::finalize_fixed_run(report, h, wall_start);
   } else {
     // --- Adaptive LTE-controlled stepping; the load-step instant and every
     // fault event are schedule entries the controller lands on exactly. ----
-    const double dt_max = std::min(options.time_step, options.duration);
-    sim::StepController ctl(options.control, 0.0, options.duration,
-                            dt_max / 8.0, dt_max);
-    constexpr int kBeStartupSteps = 2;
-    int be_left = kBeStartupSteps;
     const double event_tol = 1e-12 * options.duration;
-
     sim::EventSchedule schedule(options.duration);
     schedule.add_time(options.step_time);
     for (const auto& ev : options.fault_events) schedule.add_time(ev.time);
 
-    std::vector<double> cap_slope(ws.cap_voltages().size(), 0.0);
-    std::vector<double> v_new(cap_slope.size(), 0.0);
-    std::vector<double> v_pred(cap_slope.size(), 0.0);
-    la::Vector candidate = x;
-
-    while (!ctl.done() && !ctl.failed()) {
-      const double t = ctl.time();
+    detail::AdaptiveStepper stepper(ws, solver, options, std::move(x));
+    while (stepper.running()) {
+      const double t = stepper.time();
       // Events whose instant the controller just landed on (or, on the
       // first iteration, events at t <= 0) fire before the step that
-      // starts here; a topology change restarts the integration history.
-      if (apply_events_through(t, event_tol, ctl.report())) {
-        be_left = kBeStartupSteps;
-        ctl.reset_dt(dt_max / 16.0);
+      // starts here, and a topology change restarts the integration; so
+      // does landing on any event instant.  The step uses the loads in
+      // force at its START, so each discontinuity begins exactly at its
+      // snapped boundary.
+      if (apply_events_through(t, event_tol, stepper.report())) {
+        stepper.restart();
       }
-      const double dt = ctl.begin_step(schedule.next_after(t));
-      if (ctl.failed()) break;
-      const bool be = be_left > 0;
-      // The step uses the loads in force at its START, so each
-      // discontinuity begins exactly at its snapped boundary.
-      ws.build_rhs(*live_loads, dt, be, rhs);
-      candidate = x;  // warm start; x stays the last accepted solution
-      if (!solver.solve(dt, be, rhs, candidate, t, ctl.report(),
-                        diagnostic)) {
-        ctl.reject_step("linear solve failure");
-        continue;
-      }
-      if (!sim::finite_and_bounded(candidate,
-                                   options.control.overflow_limit)) {
-        ctl.reject_step("NaN/overflow guard");
-        continue;
-      }
-      const auto& cap_v = ws.cap_voltages();
-      for (std::size_t l = 0; l < ws.layer_count(); ++l) {
-        for (std::size_t cell = 0; cell < ws.cells(); ++cell) {
-          const std::size_t k = l * ws.cells() + cell;
-          v_new[k] = candidate[net.vdd_node(l, cell)] -
-                     candidate[net.gnd_node(l, cell)];
-        }
-      }
-      double err = 0.0;
-      if (!be) {
-        for (std::size_t k = 0; k < cap_v.size(); ++k) {
-          v_pred[k] = cap_v[k] + cap_slope[k] * dt;
-        }
-        err = sim::error_norm(v_new, v_pred, options.control.rel_tol,
-                              options.control.abs_tol);
-      }
-      const bool on_edge = ctl.ends_on_event();
-      if (!ctl.finish_step(err, be ? 1 : 2)) continue;
-
-      for (std::size_t k = 0; k < cap_v.size(); ++k) {
-        cap_slope[k] = (v_new[k] - cap_v[k]) / dt;
-      }
-      ws.commit_states(candidate, dt, be);
-      x = candidate;
-      record_sample(ctl.time(), x);
-      if (on_edge) {
-        be_left = kBeStartupSteps;
-        ctl.reset_dt(dt_max / 16.0);
-      } else if (be_left > 0) {
-        --be_left;
-      }
+      if (!stepper.step(*live_loads, schedule.next_after(t))) continue;
+      record_sample(stepper.time(), stepper.solution());
+      if (stepper.ended_on_event()) stepper.restart();
     }
-    ctl.finalize();
-    result.report = ctl.report();
+    result.report = stepper.finish();
   }
 
   result.final_noise =

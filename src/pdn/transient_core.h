@@ -1,7 +1,8 @@
 // Shared internals of the PDN transient engines (pdn/transient.cpp and
 // pdn/ride_through.cpp): the timestep-independent split system, the
-// epoch-keyed per-(dt, scheme) step solver, and the companion-state
-// workspace.
+// epoch-keyed per-(dt, scheme) step solver, the companion-state workspace,
+// the adaptive stepper both engines run, and mid-run fault-event
+// application.
 //
 // Everything here operates on a PdnNetwork the caller owns (the engines copy
 // the model's network so mid-run fault events never mutate caller state).
@@ -26,6 +27,7 @@
 #include "la/skyline_cholesky.h"
 #include "la/solver.h"
 #include "pdn/transient.h"
+#include "sim/step_control.h"
 
 namespace vstack::pdn::detail {
 
@@ -186,5 +188,72 @@ class TransientWorkspace {
   double lvdd_v_ = 0.0;
   double lgnd_v_ = 0.0;
 };
+
+/// The adaptive LTE-controlled step loop of both PDN engines.  Owns the
+/// step controller, the backward-Euler startup counter, the capacitor-
+/// voltage LTE predictor, and the accepted solution; the caller owns the
+/// timeline, the loads, and the restart policy:
+///
+///   AdaptiveStepper stepper(ws, solver, options, std::move(x0));
+///   while (stepper.running()) {
+///     // apply what is due at stepper.time(); restart() on a discontinuity
+///     if (stepper.step(loads, schedule.next_after(stepper.time()))) {
+///       // record a sample of stepper.solution()
+///     }
+///   }
+///   report = stepper.finish();
+class AdaptiveStepper {
+ public:
+  /// `x0` is the initial solution; `ws` must hold the matching companion
+  /// states (TransientWorkspace::init_states).
+  AdaptiveStepper(TransientWorkspace& ws, StepSolver& solver,
+                  const PdnTransientOptions& options, la::Vector x0);
+
+  bool running() const { return !ctl_.done() && !ctl_.failed(); }
+  double time() const { return ctl_.time(); }
+  /// The last accepted solution.
+  const la::Vector& solution() const { return x_; }
+  sim::TransientReport& report() { return ctl_.report(); }
+
+  /// The integration history is invalid across a discontinuity: take
+  /// backward-Euler startup steps again, from a reduced dt.
+  void restart();
+
+  /// Attempt one step from time() toward `next_event` with `loads` (the
+  /// loads in force at the step's start): solve, NaN/overflow guard, LTE
+  /// check and, when accepted, commit the companion states and solution.
+  /// Returns whether the step was accepted.
+  bool step(const std::vector<LoadInjection>& loads, double next_event);
+
+  /// True when the last accepted step ended on the event passed to step().
+  bool ended_on_event() const { return ctl_.ends_on_event(); }
+
+  /// Finalize the controller (wall time, telemetry) and return its report.
+  const sim::TransientReport& finish();
+
+ private:
+  static constexpr int kBeStartupSteps = 2;
+
+  TransientWorkspace& ws_;
+  StepSolver& solver_;
+  const PdnTransientOptions& options_;
+  double dt_max_ = 0.0;
+  sim::StepController ctl_;
+  int be_left_ = kBeStartupSteps;
+  la::Vector x_;
+  la::Vector candidate_;  // warm start, then the step's solution
+  la::Vector rhs_;
+  std::vector<double> cap_slope_;  // per cap, from the last accepted step
+  std::vector<double> v_new_;
+  std::vector<double> v_pred_;
+};
+
+/// Apply one TimedFaultEvent at time `t`: record its load surge (the caller
+/// swaps in the new loads), apply its faults to `net`, and rebuild `ws`'s
+/// topology, recording both in `report`'s event trail.  Returns whether the
+/// topology changed.
+bool apply_fault_event(const TimedFaultEvent& event, PdnNetwork& net,
+                       TransientWorkspace& ws, double t,
+                       sim::TransientReport& report);
 
 }  // namespace vstack::pdn::detail

@@ -60,38 +60,6 @@ bool make_baseline(const ImportedGrid& grid, const GridCampaignOptions& options,
   return true;
 }
 
-void classify_and_append(core::ContingencyReport& report,
-                         core::ContingencyCase one) {
-  switch (one.outcome) {
-    case core::CaseOutcome::Survivable: ++report.survivable; break;
-    case core::CaseOutcome::Degraded: ++report.degraded; break;
-    case core::CaseOutcome::Infeasible: ++report.infeasible; break;
-  }
-  if (one.solved) {
-    report.worst_post_fault_deviation = std::max(
-        report.worst_post_fault_deviation, one.max_node_deviation_fraction);
-  }
-  report.cases.push_back(std::move(one));
-}
-
-core::ContingencyReport run_cases(const ImportedGrid& grid,
-                                  const GridCampaignOptions& options,
-                                  core::ContingencyReport report,
-                                  std::vector<pdn::FaultSet> plans,
-                                  std::vector<std::string> labels) {
-  report.planned = plans.size();
-  std::vector<core::ContingencyCase> slots(plans.size());
-  const core::TaskPool pool(options.execution);
-  const std::size_t committed = pool.run_ordered(
-      plans.size(),
-      [&](std::size_t i) {
-        slots[i] = evaluate_case(grid, plans[i], options, labels[i]);
-      },
-      [&](std::size_t i) { classify_and_append(report, std::move(slots[i])); });
-  report.cancelled = committed < report.planned;
-  return report;
-}
-
 }  // namespace
 
 std::vector<core::EmRiskEntry> rank_by_stress(
@@ -184,8 +152,11 @@ core::ContingencyReport run_n_minus_1(const ImportedGrid& grid,
     labels.push_back("N-1#" + std::to_string(i) + " open[" +
                      std::to_string(index) + "]");
   }
-  return run_cases(grid, options, std::move(report), std::move(plans),
-                   std::move(labels));
+  core::run_cases(report, plans.size(), options.execution,
+                  [&](std::size_t i) {
+                    return evaluate_case(grid, plans[i], options, labels[i]);
+                  });
+  return report;
 }
 
 core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
@@ -242,8 +213,11 @@ core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
     plans.push_back(std::move(faults));
     labels.push_back("MC#" + std::to_string(trial));
   }
-  return run_cases(grid, options, std::move(report), std::move(plans),
-                   std::move(labels));
+  core::run_cases(report, plans.size(), options.execution,
+                  [&](std::size_t i) {
+                    return evaluate_case(grid, plans[i], options, labels[i]);
+                  });
+  return report;
 }
 
 std::vector<GridSolution> sweep_load_scale(const ImportedGrid& grid,

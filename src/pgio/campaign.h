@@ -18,9 +18,10 @@
 //
 // Determinism contract matches core: all RNG consumption happens while
 // planning (never while evaluating), each case runs on a fresh copy of the
-// base grid, and cases are committed in index order through
-// core::TaskPool::run_ordered -- so jobs=N output is bit-identical to
-// serial for a given seed.
+// base grid, and cases are committed in index order through core's
+// run_cases -- so jobs=N output is bit-identical to serial for a given
+// seed, and a case cut short by the solve deadline ends the committed
+// prefix instead of counting as Infeasible.
 #pragma once
 
 #include <cstdint>

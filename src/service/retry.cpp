@@ -5,21 +5,10 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/rng.h"
+#include "core/campaign_manifest.h"
 
 namespace vstack::service {
-
-namespace {
-
-/// splitmix64: one multiply-xor-shift round turns (salt, attempt) into well
-/// mixed bits; good enough for jitter, fully deterministic.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 void RetryPolicy::validate() const {
   VS_REQUIRE(max_attempts >= 1 && max_attempts <= 16,
@@ -41,8 +30,10 @@ double RetryPolicy::backoff_before(std::size_t next_attempt,
   double backoff = initial_backoff_s * std::pow(backoff_multiplier, exponent);
   backoff = std::min(backoff, max_backoff_s);
   if (jitter_fraction > 0.0) {
-    // Uniform in [1 - j, 1 + j] from the top 53 bits of the hash.
-    const std::uint64_t bits = mix64(salt ^ (0x517cc1b7ull * next_attempt));
+    // Uniform in [1 - j, 1 + j] from the top 53 bits of one splitmix64
+    // round over (salt, attempt).
+    std::uint64_t state = salt ^ (0x517cc1b7ull * next_attempt);
+    const std::uint64_t bits = splitmix64(state);
     const double unit =
         static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);
     backoff *= 1.0 - jitter_fraction + 2.0 * jitter_fraction * unit;
@@ -79,12 +70,9 @@ RetryRun run_with_retry(const RetryPolicy& policy, const Deadline& stop,
 }
 
 std::uint64_t retry_salt(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  core::Fnv1a f;
+  f.bytes(s.data(), s.size());
+  return f.h;
 }
 
 }  // namespace vstack::service

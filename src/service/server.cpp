@@ -67,13 +67,6 @@ bool json_field(const std::string& line, const std::string& key,
   return core::json_field(line, key, out);
 }
 
-void fnv_double(std::uint64_t& h, double v) {
-  core::Fnv1a f;
-  f.h = h;
-  f.f64(v);
-  h = f.h;
-}
-
 std::string hex64(std::uint64_t v) { return core::hex64(v); }
 
 /// One terminal answer; rendered as a single JSONL line.
@@ -664,55 +657,55 @@ class ServerRun {
     so.execution = execution_for(jobs, deadline);
     const core::SweepRunner sweeps(ctx_, so);
 
-    std::uint64_t hash = 1469598103934665603ull;
+    core::Fnv1a hash;
     std::size_t rows = 0;
     if (spec.figure == "5a") {
       for (const auto& r : sweeps.fig5a()) {
         ++rows;
-        fnv_double(hash, static_cast<double>(r.layers));
-        fnv_double(hash, r.reg_dense);
-        fnv_double(hash, r.reg_sparse);
-        fnv_double(hash, r.reg_few);
-        fnv_double(hash, r.vs_few);
+        hash.f64(static_cast<double>(r.layers));
+        hash.f64(r.reg_dense);
+        hash.f64(r.reg_sparse);
+        hash.f64(r.reg_few);
+        hash.f64(r.vs_few);
       }
     } else if (spec.figure == "5b") {
       for (const auto& r : sweeps.fig5b()) {
         ++rows;
-        fnv_double(hash, static_cast<double>(r.layers));
-        fnv_double(hash, r.reg_25);
-        fnv_double(hash, r.reg_50);
-        fnv_double(hash, r.reg_75);
-        fnv_double(hash, r.reg_100);
-        fnv_double(hash, r.vs);
+        hash.f64(static_cast<double>(r.layers));
+        hash.f64(r.reg_25);
+        hash.f64(r.reg_50);
+        hash.f64(r.reg_75);
+        hash.f64(r.reg_100);
+        hash.f64(r.vs);
       }
     } else if (spec.figure == "6") {
       const auto result = sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0});
       for (const auto& row : result.rows) {
         ++rows;
-        fnv_double(hash, row.imbalance);
-        for (const auto& v : row.vs_noise) fnv_double(hash, v ? *v : -1.0);
+        hash.f64(row.imbalance);
+        for (const auto& v : row.vs_noise) hash.f64(v ? *v : -1.0);
       }
     } else if (spec.figure == "7") {
       for (const auto& app : sweeps.fig7()) {
         ++rows;
-        fnv_double(hash, app.power.median);
-        fnv_double(hash, app.max_imbalance);
+        hash.f64(app.power.median);
+        hash.f64(app.max_imbalance);
       }
     } else {
       const auto result = sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9});
       for (const auto& row : result.rows) {
         ++rows;
-        fnv_double(hash, row.imbalance);
+        hash.f64(row.imbalance);
         for (const auto& v : row.vs_efficiency) {
-          fnv_double(hash, v ? *v : -1.0);
+          hash.f64(v ? *v : -1.0);
         }
-        fnv_double(hash, row.regular_sc);
+        hash.f64(row.regular_sc);
       }
     }
 
     std::ostringstream agg;
     agg << ",\"figure\":\"" << spec.figure << "\",\"rows\":" << rows
-        << ",\"data_hash\":\"" << hex64(hash) << "\"";
+        << ",\"data_hash\":\"" << hex64(hash.h) << "\"";
     RunOutcome out;
     // The figure drivers have no committed-count channel; an expired
     // deadline means the tail rows were skipped, so label it truncated.

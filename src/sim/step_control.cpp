@@ -11,6 +11,38 @@ namespace vstack::sim {
 
 using telemetry::monotonic_seconds;
 
+namespace {
+
+void record_transient_telemetry(const TransientReport& report,
+                                double wall_start_seconds) {
+  static const telemetry::Counter t_runs("sim.transient.runs");
+  static const telemetry::Counter t_truncated("sim.transient.runs_truncated");
+  static const telemetry::Counter t_accepted("sim.transient.accepted_steps");
+  static const telemetry::Counter t_rejected("sim.transient.rejected_steps");
+  static const telemetry::Counter t_lte("sim.transient.lte_rejections");
+  static const telemetry::Counter t_guard("sim.transient.guard_rejections");
+  static const telemetry::Counter t_solver("sim.transient.solver_rejections");
+  static const telemetry::Counter t_recovery("sim.transient.recovery_events");
+  static const telemetry::Histogram t_wall(
+      "sim.transient.run_seconds",
+      {1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
+
+  t_runs.add();
+  if (!report.ok()) t_truncated.add();
+  t_accepted.add(static_cast<double>(report.accepted_steps));
+  t_rejected.add(static_cast<double>(report.rejected_steps));
+  t_lte.add(static_cast<double>(report.lte_rejections));
+  t_guard.add(static_cast<double>(report.guard_rejections));
+  t_solver.add(static_cast<double>(report.solver_rejections));
+  t_recovery.add(static_cast<double>(report.events.size() +
+                                     report.events_dropped));
+  t_wall.record(report.wall_seconds);
+  telemetry::record_span("sim.transient.run", wall_start_seconds,
+                         wall_start_seconds + report.wall_seconds);
+}
+
+}  // namespace
+
 const char* to_string(TransientStatus status) {
   switch (status) {
     case TransientStatus::Completed: return "completed";
@@ -81,26 +113,8 @@ void StepController::fail(TransientStatus status,
 
 double StepController::begin_step(double next_event) {
   if (done_ || failed_) return 0.0;
-
-  if (opts_.max_steps > 0 && attempted_steps_ >= opts_.max_steps) {
-    fail(TransientStatus::BudgetExhausted,
-         "step budget of " + std::to_string(opts_.max_steps) +
-             " attempted steps exhausted at t = " + std::to_string(t_) +
-             " s; result truncated");
-    return 0.0;
-  }
-  if (opts_.wall_clock_budget_s > 0.0 &&
-      monotonic_seconds() - wall_start_s_ > opts_.wall_clock_budget_s) {
-    fail(TransientStatus::BudgetExhausted,
-         "wall-clock budget of " + std::to_string(opts_.wall_clock_budget_s) +
-             " s exhausted at t = " + std::to_string(t_) +
-             " s; result truncated");
-    return 0.0;
-  }
-  if (opts_.deadline.expired()) {
-    fail(TransientStatus::BudgetExhausted,
-         "deadline expired (cancelled) at t = " + std::to_string(t_) +
-             " s; result truncated");
+  if (budget_exhausted(opts_, attempted_steps_, wall_start_s_, t_, report_)) {
+    failed_ = true;
     return 0.0;
   }
   ++attempted_steps_;
@@ -208,32 +222,35 @@ void StepController::finalize() {
   record_transient_telemetry(report_, wall_start_s_);
 }
 
-void record_transient_telemetry(const TransientReport& report,
-                                double wall_start_seconds) {
-  static const telemetry::Counter t_runs("sim.transient.runs");
-  static const telemetry::Counter t_truncated("sim.transient.runs_truncated");
-  static const telemetry::Counter t_accepted("sim.transient.accepted_steps");
-  static const telemetry::Counter t_rejected("sim.transient.rejected_steps");
-  static const telemetry::Counter t_lte("sim.transient.lte_rejections");
-  static const telemetry::Counter t_guard("sim.transient.guard_rejections");
-  static const telemetry::Counter t_solver("sim.transient.solver_rejections");
-  static const telemetry::Counter t_recovery("sim.transient.recovery_events");
-  static const telemetry::Histogram t_wall(
-      "sim.transient.run_seconds",
-      {1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
+bool budget_exhausted(const StepControlOptions& options, std::size_t steps,
+                      double wall_start_s, double t, TransientReport& report) {
+  std::string why;
+  if (options.max_steps > 0 && steps >= options.max_steps) {
+    why = "step budget of " + std::to_string(options.max_steps) +
+          " attempted steps exhausted";
+  } else if (options.wall_clock_budget_s > 0.0 &&
+             monotonic_seconds() - wall_start_s >
+                 options.wall_clock_budget_s) {
+    why = "wall-clock budget of " +
+          std::to_string(options.wall_clock_budget_s) + " s exhausted";
+  } else if (options.deadline.expired()) {
+    why = "deadline expired (cancelled)";
+  } else {
+    return false;
+  }
+  report.status = TransientStatus::BudgetExhausted;
+  report.diagnostic =
+      why + " at t = " + std::to_string(t) + " s; result truncated";
+  return true;
+}
 
-  t_runs.add();
-  if (!report.ok()) t_truncated.add();
-  t_accepted.add(static_cast<double>(report.accepted_steps));
-  t_rejected.add(static_cast<double>(report.rejected_steps));
-  t_lte.add(static_cast<double>(report.lte_rejections));
-  t_guard.add(static_cast<double>(report.guard_rejections));
-  t_solver.add(static_cast<double>(report.solver_rejections));
-  t_recovery.add(static_cast<double>(report.events.size() +
-                                     report.events_dropped));
-  t_wall.record(report.wall_seconds);
-  telemetry::record_span("sim.transient.run", wall_start_seconds,
-                         wall_start_seconds + report.wall_seconds);
+void finalize_fixed_run(TransientReport& report, double h,
+                        double wall_start_s) {
+  report.min_dt = report.accepted_steps == 0 ? 0.0 : h;
+  report.max_dt = report.min_dt;
+  report.last_dt = report.min_dt;
+  report.wall_seconds = monotonic_seconds() - wall_start_s;
+  record_transient_telemetry(report, wall_start_s);
 }
 
 double error_norm(const std::vector<double>& value,

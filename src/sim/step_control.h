@@ -6,9 +6,10 @@
 //  * StepController -- local-truncation-error driven timestep selection with
 //    step rejection, halving, exponential grow-back, exact clamping onto
 //    event times (clocked-switch edges, load steps, the stop time), and hard
-//    step / wall-clock budgets.  Fixed-step engines reuse the same
-//    controller with dt_min == dt_max so guards, budgets and reporting are
-//    identical in both modes.
+//    step / wall-clock budgets.  Fixed-grid loops keep their own uniform
+//    clock but share its budget check (budget_exhausted) and close with
+//    finalize_fixed_run, so budgets and reporting are identical in both
+//    modes.
 //
 //  * TransientReport -- the structured outcome callers check INSTEAD of
 //    catching exceptions: accepted/rejected step counts, dt range, LTE
@@ -78,15 +79,6 @@ struct TransientReport {
   std::string summary() const;
 };
 
-/// Record a finished transient run into the telemetry registry: step and
-/// rejection counters, recovery events, and a "sim.transient.run" span from
-/// `wall_start_seconds` (a telemetry::monotonic_seconds() stamp) to now.
-/// StepController::finalize() calls this; fixed-loop engines that fill a
-/// TransientReport by hand call it themselves so both modes report
-/// identically.
-void record_transient_telemetry(const TransientReport& report,
-                                double wall_start_seconds);
-
 struct StepControlOptions {
   /// LTE acceptance: a step passes when the predictor-corrector error,
   /// normalized per state entry by (abs_tol + rel_tol * |value|), is <= 1.
@@ -111,13 +103,29 @@ struct StepControlOptions {
   double overflow_limit = 1e12;
 
   /// External cancellation / wall-clock deadline (service requests, Ctrl-C).
-  /// Checked at every begin_step alongside the budgets; when it fires the
-  /// run truncates with BudgetExhausted exactly like a wall-clock budget,
-  /// so existing callers need no new status handling.  Default: unlimited.
+  /// Checked before every step alongside the budgets, adaptive or fixed;
+  /// when it fires the run truncates with BudgetExhausted exactly like a
+  /// wall-clock budget, so existing callers need no new status handling.
+  /// Default: unlimited.
   Deadline deadline{};
 
   void validate() const;
 };
+
+/// The hard-budget check every transient loop runs before a step, adaptive
+/// (StepController::begin_step) or fixed-grid: the step budget against
+/// `steps` already attempted, the wall-clock budget since `wall_start_s` (a
+/// telemetry::monotonic_seconds() stamp), and the deadline.  On exhaustion
+/// marks `report` BudgetExhausted with a diagnostic naming time `t` and
+/// returns true.
+bool budget_exhausted(const StepControlOptions& options, std::size_t steps,
+                      double wall_start_s, double t, TransientReport& report);
+
+/// Close a fixed-grid run of step `h`, the counterpart of
+/// StepController::finalize(): dt range (h, or 0 when no step was
+/// accepted), wall time since `wall_start_s`, and the run's telemetry.
+void finalize_fixed_run(TransientReport& report, double h,
+                        double wall_start_s);
 
 /// Timestep state machine.  Usage per step:
 ///

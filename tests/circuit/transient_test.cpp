@@ -324,6 +324,32 @@ TEST(TransientTest, StepBudgetTruncatesButLabelsTheResult) {
   }
 }
 
+TEST(TransientTest, FixedModeHonorsAnExpiredDeadline) {
+  // The fixed grid runs the same budget check as the adaptive controller,
+  // so a deadline that has already fired truncates before the first step.
+  Netlist net;
+  const NodeId vin = net.create_node("vin");
+  const NodeId out = net.create_node("out");
+  net.add_voltage_source(vin, kGround, 1.0);
+  net.add_resistor(vin, out, 1000.0);
+  net.add_capacitor(out, kGround, 1e-6, 0.0);
+
+  TransientSimulator sim(net, 1.0);
+  TransientOptions opts;
+  opts.stop_time = 5e-3;
+  opts.time_step = 1e-6;
+  opts.mode = SteppingMode::Fixed;
+  opts.control.deadline = Deadline::after(0);
+  TransientResult r;
+  ASSERT_NO_THROW(r = sim.run(opts));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.report.status, sim::TransientStatus::BudgetExhausted);
+  EXPECT_NE(r.report.diagnostic.find("deadline"), std::string::npos)
+      << r.report.diagnostic;
+  EXPECT_TRUE(r.time.empty());
+  EXPECT_EQ(r.report.accepted_steps, 0u);
+}
+
 TEST(TransientTest, AdaptiveDerivesDefaultMaxStepFromClock) {
   // time_step = 0 in adaptive mode derives dt_max from the clock period.
   Netlist net;

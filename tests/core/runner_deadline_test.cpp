@@ -173,6 +173,36 @@ TEST(ContingencyDeadline, PreExpiredTokenCancelsBothModes) {
   EXPECT_TRUE(n1.cases.empty());
 }
 
+TEST(ContingencyDeadline, TruncatedCaseMidListEndsTheCommittedPrefix) {
+  // Case 3 of 7 was cut short by a deadline: it and every later case are
+  // dropped (even the real verdicts after it), at any job count.
+  for (const std::size_t jobs : {1u, 3u}) {
+    ContingencyReport report;
+    run_cases(report, 7, ExecutionPolicy::parallel(jobs),
+              [&](std::size_t i) {
+                ContingencyCase one;
+                one.label = "case" + std::to_string(i);
+                one.solved = i != 1;
+                one.outcome = i == 1 ? CaseOutcome::Infeasible
+                                     : i == 2 ? CaseOutcome::Degraded
+                                              : CaseOutcome::Survivable;
+                one.max_node_deviation_fraction = 0.01 * double(i + 1);
+                one.deadline_truncated = i == 3;
+                return one;
+              });
+    EXPECT_EQ(report.planned, 7u) << "jobs " << jobs;
+    EXPECT_TRUE(report.cancelled) << "jobs " << jobs;
+    ASSERT_EQ(report.cases.size(), 3u) << "jobs " << jobs;
+    for (std::size_t i = 0; i < report.cases.size(); ++i) {
+      EXPECT_EQ(report.cases[i].label, "case" + std::to_string(i));
+    }
+    EXPECT_EQ(report.survivable, 1u);
+    EXPECT_EQ(report.degraded, 1u);
+    EXPECT_EQ(report.infeasible, 1u);
+    EXPECT_DOUBLE_EQ(report.worst_post_fault_deviation, 0.03);
+  }
+}
+
 TEST(ContingencyDeadline, UnlimitedTokenReportsNotCancelled) {
   const ContingencyEngine engine(ctx(), stacked4());
   ContingencyOptions o;

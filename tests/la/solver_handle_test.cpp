@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "la/solve.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::la {
@@ -209,25 +208,25 @@ TEST(SolverHandleTest, IterateOnceCountsTheBackendSolve) {
 }
 #endif
 
-TEST(SolverHandleTest, ShimIsBehaviorallyIdentical) {
-  // The deprecated free function is a thin wrapper over a temporary
-  // Solver: identical solution bits, iterations, and attempt labels.
+TEST(SolverHandleTest, OneShotHandleIsBehaviorallyIdentical) {
+  // A temporary Solver used for a single solve (the one-shot idiom) matches
+  // a named handle: identical solution bits, iterations, and attempt labels.
   const CsrMatrix a = grid_laplacian(12);
   Vector b(a.size());
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 + 0.01 * double(i);
 
-  Vector x_shim, x_handle;
-  const auto r_shim = solve(a, b, x_shim);
+  Vector x_once, x_handle;
+  const auto r_once = Solver(a).solve(b, x_once);
   Solver solver(a);
   const auto r_handle = solver.solve(b, x_handle);
 
-  ASSERT_TRUE(r_shim.converged);
+  ASSERT_TRUE(r_once.converged);
   ASSERT_TRUE(r_handle.converged);
-  EXPECT_EQ(x_shim, x_handle);
-  EXPECT_EQ(r_shim.iterations, r_handle.iterations);
-  ASSERT_EQ(r_shim.attempts.size(), r_handle.attempts.size());
-  for (std::size_t i = 0; i < r_shim.attempts.size(); ++i) {
-    EXPECT_EQ(r_shim.attempts[i].method, r_handle.attempts[i].method);
+  EXPECT_EQ(x_once, x_handle);
+  EXPECT_EQ(r_once.iterations, r_handle.iterations);
+  ASSERT_EQ(r_once.attempts.size(), r_handle.attempts.size());
+  for (std::size_t i = 0; i < r_once.attempts.size(); ++i) {
+    EXPECT_EQ(r_once.attempts[i].method, r_handle.attempts[i].method);
   }
 }
 

@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "la/bicgstab.h"
 #include "la/cg.h"
-#include "la/solve.h"
+#include "la/solver.h"
 
 namespace vstack::la {
 namespace {
@@ -121,7 +121,7 @@ TEST(SolveTest, AutoPicksCgForSymmetric) {
   const CsrMatrix a = laplacian_1d(20);
   const Vector b(20, 1.0);
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   EXPECT_LT(residual(a, x, b), 1e-9);
 }
@@ -137,7 +137,7 @@ TEST(SolveTest, AutoHandlesNonSymmetric) {
   const CsrMatrix a = builder.build();
   const Vector b{1.0, 2.0, 3.0};
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   EXPECT_LT(residual(a, x, b), 1e-8);
 }
@@ -148,7 +148,7 @@ TEST(SolveTest, DenseLuKindSolvesExactly) {
   Vector x;
   SolveOptions opts;
   opts.kind = SolverKind::DenseLu;
-  const auto report = solve(a, b, x, opts);
+  const auto report = Solver(a, opts).solve(b, x);
   EXPECT_TRUE(report.converged);
   EXPECT_LT(residual(a, x, b), 1e-12);
 }

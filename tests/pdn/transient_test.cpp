@@ -220,5 +220,22 @@ TEST(PdnTransientTest, StepBudgetTruncatesButLabels) {
   }
 }
 
+TEST(PdnTransientTest, FixedModeHonorsAnExpiredDeadline) {
+  // The fixed grid runs the same budget check as the adaptive controller,
+  // so a deadline that has already fired truncates before the first step.
+  PdnModel model(small(PdnTopology::Regular3d, 2), paper_fp());
+  PdnTransientOptions o = fast_options();
+  ASSERT_FALSE(o.adaptive);
+  o.control.deadline = Deadline::after(0);
+  const auto r = simulate_load_step(model, cpm(), {0.2, 0.2}, {1.0, 1.0}, o);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.report.status, sim::TransientStatus::BudgetExhausted);
+  EXPECT_NE(r.report.diagnostic.find("deadline"), std::string::npos)
+      << r.report.diagnostic;
+  EXPECT_TRUE(r.time.empty());
+  EXPECT_EQ(r.report.accepted_steps, 0u);
+  EXPECT_EQ(r.report.min_dt, 0.0);
+}
+
 }  // namespace
 }  // namespace vstack::pdn

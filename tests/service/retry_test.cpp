@@ -139,5 +139,24 @@ TEST(RetrySalt, StableAndDistinct) {
   EXPECT_NE(retry_salt("job1"), retry_salt("job2"));
 }
 
+TEST(RetrySalt, SaltAndJitterValuesArePinned) {
+  // Recorded outputs: the salt hash (FNV-1a) and the jitter mixer
+  // (splitmix64) must not drift, or every request's retry schedule would.
+  EXPECT_EQ(retry_salt(""), 0x14650fb0739d0383ull);  // FNV offset basis
+  EXPECT_EQ(retry_salt("job1"), 0x729e51f0e65d23e1ull);
+  EXPECT_EQ(retry_salt("req-42"), 0x719feb23ed9df7deull);
+  EXPECT_EQ(retry_salt("sweep:5a"), 0xa8f555138ca903a3ull);
+
+  const RetryPolicy p;  // defaults: 0.25 s, x2, 20% jitter
+  const std::uint64_t salt = retry_salt("job1");
+  EXPECT_EQ(p.backoff_before(2, salt), 0x1.2ea86d571c42ap-2);
+  EXPECT_EQ(p.backoff_before(3, salt), 0x1.9a99bb7f88b2dp-2);
+  EXPECT_EQ(p.backoff_before(4, salt), 0x1.2add7af3bbbf6p+0);
+  EXPECT_EQ(p.backoff_before(5, salt), 0x1.dae59624bcff8p+0);
+  EXPECT_EQ(p.backoff_before(3, 0), 0x1.2e46d53fb411p-1);
+  EXPECT_EQ(p.backoff_before(3, 7), 0x1.a39f9b66af0cp-2);
+  EXPECT_EQ(p.backoff_before(3, 0xdeadbeefull), 0x1.12387fb1a7e5ep-1);
+}
+
 }  // namespace
 }  // namespace vstack::service
