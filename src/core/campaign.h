@@ -50,7 +50,7 @@ namespace vstack::core {
 
 struct CampaignOptions {
   /// Monte Carlo shape: seed, trials, faults per trial, converter/leakage
-  /// extras, and the EM ranking knobs (mission_time, solve options).
+  /// extras, and the baseline solve options.
   ContingencyOptions contingency;
 
   /// Transient replay configuration: engine options (duration, decap,
@@ -180,11 +180,6 @@ class CampaignRunner {
       const CampaignOptions& options) const;
 
  private:
-  CampaignScenarioResult evaluate_scenario(
-      const PlannedScenario& scenario,
-      const std::vector<double>& layer_activities,
-      const CampaignOptions& options) const;
-
   const StudyContext& ctx_;
   pdn::StackupConfig config_;
 };

@@ -64,9 +64,11 @@ std::uint64_t campaign_config_hash(const pdn::StackupConfig& config,
   f.u64(c.faults_per_trial);
   f.u64(c.converter_faults_per_trial);
   f.u64(c.leakage_faults_per_trial);
-  f.f64(c.leakage_resistance);
-  f.f64(c.degrade_factor);
-  f.f64(c.mission_time);
+  // The fault severities and the mission time are fixed, but their bytes
+  // stay in the hash so existing manifests and shard plans keep resuming.
+  f.f64(kLeakageResistance);
+  f.f64(kDegradeFactor);
+  f.f64(0.0);  // mission time: 0 = derived from the baseline TSV array
 
   const pdn::RideThroughOptions& rt = options.ride_through;
   f.f64(rt.transient.decap_density);

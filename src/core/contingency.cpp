@@ -67,13 +67,10 @@ std::vector<EmRiskEntry> ContingencyEngine::rank_by_em_risk(
              "baseline solve failed: " + solution.diagnostic);
 
   // Ranking horizon: the baseline TSV array's expected damage-free lifetime
-  // unless the caller pinned a mission time.
-  double horizon = options.mission_time;
-  if (horizon <= 0.0) {
-    horizon = em::array_mttf(solution.tsv_currents, ctx_.black,
-                             ctx_.mttf_options);
-    if (!std::isfinite(horizon)) horizon = 0.0;  // unstressed: rank by current
-  }
+  // (its P = 0.5 crossing).
+  double horizon =
+      em::array_mttf(solution.tsv_currents, ctx_.black, ctx_.mttf_options);
+  if (!std::isfinite(horizon)) horizon = 0.0;  // unstressed: rank by current
 
   const auto& net = model.network();
   std::vector<EmRiskEntry> ranking;
@@ -289,8 +286,7 @@ std::vector<PlannedScenario> sample_trials(
       if (rng.uniform() < 0.5) {
         faults.open_conductor(entry.conductor_index);
       } else {
-        faults.degrade_conductor(entry.conductor_index,
-                                 options.degrade_factor);
+        faults.degrade_conductor(entry.conductor_index, kDegradeFactor);
       }
     }
     for (std::size_t c = 0;
@@ -299,7 +295,7 @@ std::vector<PlannedScenario> sample_trials(
     }
     for (std::size_t c = 0; c < options.leakage_faults_per_trial; ++c) {
       faults.leakage_to_ground(rng.uniform_index(grid_nodes),
-                               options.leakage_resistance);
+                               kLeakageResistance);
     }
 
     std::ostringstream label;

@@ -38,11 +38,14 @@ struct EmRiskEntry {
   double failure_probability = 0.0;
 };
 
-struct ContingencyOptions {
-  /// Horizon for the failure-probability ranking [lifetime units];
-  /// 0 = auto (the baseline TSV array's P = 0.5 crossing).
-  double mission_time = 0.0;
+/// Monte Carlo fault severities, shared by the synthesized and the
+/// imported-grid campaigns: a leakage fault shorts a node to ground through
+/// kLeakageResistance [Ohm], and a partial conductor fault multiplies its
+/// resistance by kDegradeFactor.
+inline constexpr double kLeakageResistance = 10.0;
+inline constexpr double kDegradeFactor = 8.0;
 
+struct ContingencyOptions {
   /// N-1 sweep size: top_k candidates by EM risk, or every candidate group
   /// when exhaustive is set.
   std::size_t top_k = 8;
@@ -57,8 +60,6 @@ struct ContingencyOptions {
   std::size_t faults_per_trial = 2;
   std::size_t converter_faults_per_trial = 0;  // stuck-off phases per trial
   std::size_t leakage_faults_per_trial = 0;    // shorts to ground per trial
-  double leakage_resistance = 10.0;            // [Ohm]
-  double degrade_factor = 8.0;  // resistance multiplier for partial faults
   std::uint64_t seed = 42;
 
   pdn::PdnSolveOptions solve;

@@ -224,7 +224,7 @@ Fig6Result SweepRunner::fig6(const std::vector<double>& imbalances) const {
 }
 
 std::vector<power::ApplicationPowerSummary> SweepRunner::fig7() const {
-  return run_fig7(ctx_, options_.fig7_samples, options_.fig7_seed);
+  return run_fig7(ctx_, power::kPaperSampleCount, options_.fig7_seed);
 }
 
 Fig8Result SweepRunner::fig8(const std::vector<double>& imbalances) const {

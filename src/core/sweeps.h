@@ -102,8 +102,8 @@ struct SweepOptions {
   std::size_t layers = 8;
   std::vector<std::size_t> converter_counts{2, 4, 6, 8};
 
-  /// Fig. 7 sampling shape.
-  std::size_t fig7_samples = 1000;
+  /// Fig. 7 sampling seed (the sample count is the paper's
+  /// power::kPaperSampleCount).
   std::uint64_t fig7_seed = 2015;
 };
 

@@ -132,9 +132,7 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
           } catch (...) {
             outcome = Slot::Failed;
             error = std::current_exception();
-            if (policy_.cancel_on_error) {
-              cancelled.store(true, std::memory_order_release);
-            }
+            cancelled.store(true, std::memory_order_release);
           }
         }
         {
@@ -174,9 +172,8 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
                                    wait_start);
       if (slots[i] == Slot::Pending || slots[i] == Slot::Skipped) break;
       if (slots[i] == Slot::Failed) {
-        if (!first_error) first_error = errors[i];
-        if (policy_.cancel_on_error) break;
-        continue;  // keep committing survivors; rethrow at the end
+        first_error = errors[i];
+        break;
       }
       lock.unlock();
       try {

@@ -12,12 +12,11 @@
 // under jobs=1 and vice versa.  See docs/parallel_execution.md.
 //
 // Scheduling: workers claim chunks of `chunk` consecutive indices from an
-// atomic cursor.  A work exception marks its slot failed; with
-// cancel_on_error (the default) no further chunks are claimed, the
-// committed prefix stays intact, and the lowest-index error is rethrown on
-// the caller.  Commit callbacks run only on the caller's thread, so
-// committers that write files or mutate aggregates need no locking of
-// their own.
+// atomic cursor.  A work exception marks its slot failed: no further
+// chunks are claimed, in-flight scenarios drain, the committed prefix
+// stays intact, and the lowest-index error is rethrown on the caller.
+// Commit callbacks run only on the caller's thread, so committers that
+// write files or mutate aggregates need no locking of their own.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +39,6 @@ struct ExecutionPolicy {
   /// best when per-scenario cost varies wildly (post-fault transients);
   /// larger chunks amortize scheduling for many cheap tasks.
   std::size_t chunk = 1;
-
-  /// Stop claiming new work after the first work/commit exception (the
-  /// error is rethrown either way, after in-flight scenarios drain).
-  bool cancel_on_error = true;
 
   /// Cooperative cancellation / wall-clock deadline.  Checked at every
   /// chunk-claim boundary (and before each serial task): once it fires no
@@ -86,9 +81,10 @@ class TaskPool {
   const ExecutionPolicy& policy() const { return policy_; }
 
   /// Run `work` over [0, count) on the policy's workers and `commit` each
-  /// index in order on this thread.  Throws the lowest-index work error
-  /// once workers drain (cancelling per policy); a commit error cancels
-  /// and rethrows.  Workers are tagged for logging (set_log_worker_id).
+  /// index in order on this thread.  A work error cancels; the
+  /// lowest-index one is rethrown once workers drain.  A commit error
+  /// cancels and rethrows.  Workers are tagged for logging
+  /// (set_log_worker_id).
   ///
   /// Returns the number of indices committed -- always a contiguous prefix
   /// [0, returned).  Less than `count` only when the policy deadline fired

@@ -195,10 +195,6 @@ void Ic0Preconditioner::apply(const Vector& r, Vector& z) const {
   }
 }
 
-std::unique_ptr<Preconditioner> make_identity() {
-  return std::make_unique<IdentityPreconditioner>();
-}
-
 std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a) {
   return std::make_unique<JacobiPreconditioner>(a);
 }

@@ -83,7 +83,6 @@ class Ic0Preconditioner final : public Preconditioner {
 };
 
 /// Factory helpers returning owning pointers.
-std::unique_ptr<Preconditioner> make_identity();
 std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a);
 std::unique_ptr<Preconditioner> make_ilu0(const CsrMatrix& a);
 std::unique_ptr<Preconditioner> make_ic0(const CsrMatrix& a);

@@ -54,13 +54,13 @@ double relative_residual(const CsrMatrix& a, const Vector& b,
 }
 
 /// Build the requested preconditioner tier into `precond`, degrading down
-/// the ladder (IC(0) -> ILU(0) -> Jacobi -> identity) when a factorization
+/// the ladder (IC(0) -> ILU(0) -> Jacobi) when a factorization
 /// is impossible -- e.g. IC(0) on an indefinite fault-damaged matrix, or
 /// ILU(0) on a structurally zero diagonal.  A tier that `precond` already
 /// holds (per `label`, from an earlier build on the same pattern) is
 /// refactored in place instead of rebuilt.
-void build_precond(const CsrMatrix& a, PrecondKind kind, bool use_ilu0,
-                   bool symmetric, std::unique_ptr<Preconditioner>& precond,
+void build_precond(const CsrMatrix& a, PrecondKind kind, bool symmetric,
+                   std::unique_ptr<Preconditioner>& precond,
                    std::string& label) {
   const auto take = [&](const char* tier, auto make) {
     if (precond && label == tier) {
@@ -70,10 +70,6 @@ void build_precond(const CsrMatrix& a, PrecondKind kind, bool use_ilu0,
       label = tier;
     }
   };
-  if (kind == PrecondKind::Identity) {
-    take("identity", [](const CsrMatrix&) { return make_identity(); });
-    return;
-  }
   if (kind == PrecondKind::Ic0) {
     if (symmetric) {
       try {
@@ -86,10 +82,7 @@ void build_precond(const CsrMatrix& a, PrecondKind kind, bool use_ilu0,
       VS_LOG_WARN("IC(0) requested for a non-symmetric system; using ILU(0)");
     }
   }
-  const bool want_ilu0 =
-      kind == PrecondKind::Ilu0 || kind == PrecondKind::Ic0 ||
-      (kind == PrecondKind::Auto && use_ilu0);
-  if (want_ilu0) {
+  if (kind != PrecondKind::Jacobi) {
     try {
       take("ilu0", make_ilu0);
       return;
@@ -211,19 +204,11 @@ void Solver::refresh() {
 }
 
 void Solver::bind() {
-  kind_ = options_.kind;
-  const bool symmetric =
-      kind_ == SolverKind::Cg ||
-      ((kind_ == SolverKind::Auto || options_.preconditioner ==
-        PrecondKind::Ic0) && a_->is_symmetric(1e-12));
-  if (kind_ == SolverKind::Auto) {
-    kind_ = symmetric ? SolverKind::Cg : SolverKind::BiCgStab;
-  }
+  const bool symmetric = a_->is_symmetric(1e-12);
+  kind_ = symmetric ? SolverKind::Cg : SolverKind::BiCgStab;
   prepared_ = backend_->prepare(*a_);
-  if (kind_ != SolverKind::DenseLu) {
-    build_precond(*a_, options_.preconditioner, options_.use_ilu0, symmetric,
-                  precond_, precond_label_);
-  }
+  build_precond(*a_, options_.preconditioner, symmetric, precond_,
+                precond_label_);
 }
 
 SolveReport Solver::solve(const Vector& b, Vector& x) {
@@ -252,20 +237,11 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   EscalationChain chain(*a_, b, x, ctx);
 
-  if (kind_ == SolverKind::DenseLu) {
-    chain.run_dense(dense_accept, deadline);
-    return chain.finish(chain.report().deadline_expired
-                            ? "dense LU aborted: deadline expired"
-                            : "dense LU failed: numerically singular matrix");
-  }
-
   bool done = false;
   if (kind_ == SolverKind::Cg) {
     done = chain.run_iterative("cg+" + precond_label_, SolverKind::Cg,
                                *precond_, per_attempt);
-    if (done || !options_.escalate) {
-      return chain.finish("CG did not converge");
-    }
+    if (done) return chain.finish("");
   }
 
   // Between rungs: an expired deadline means the caller wants out, not a
@@ -277,9 +253,6 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   if (!done) {
     done = chain.run_iterative("bicgstab+" + precond_label_,
                                SolverKind::BiCgStab, *precond_, per_attempt);
-    if (!done && !options_.escalate) {
-      return chain.finish("BiCGSTAB did not converge");
-    }
   }
 
   if (!done && deadline.expired()) {
@@ -329,27 +302,8 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   return chain.finish(diag.str());
 }
 
-std::vector<SolveReport> Solver::solve_many(const std::vector<Vector>& bs,
-                                            std::vector<Vector>& xs) {
-  return solve_many(bs, xs, options_.iterative);
-}
-
-std::vector<SolveReport> Solver::solve_many(const std::vector<Vector>& bs,
-                                            std::vector<Vector>& xs,
-                                            const IterativeOptions& iterative) {
-  xs.resize(bs.size());
-  std::vector<SolveReport> reports;
-  reports.reserve(bs.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    reports.push_back(solve(bs[i], xs[i], iterative));
-  }
-  return reports;
-}
-
 SolveReport Solver::iterate_once(const Vector& b, Vector& x,
                                  const IterativeOptions& iterative) {
-  VS_REQUIRE(kind_ != SolverKind::DenseLu,
-             "iterate_once: dense-LU binds have no iterative primary method");
   count_solve(*backend_);
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   if (kind_ == SolverKind::Cg) {

@@ -5,8 +5,8 @@
 //
 //   * the backend's prepared matrix form (32-bit-index CSR for the
 //     optimized backend), built once at bind time;
-//   * the resolved solver kind (the SolverKind::Auto symmetry probe runs
-//     once, not per call);
+//   * the solver kind: CG for a symmetric matrix, BiCGSTAB otherwise (the
+//     symmetry probe runs once, not per call);
 //   * the preconditioner (IC(0) / ILU(0) / Jacobi per PrecondKind, with
 //     the factorization-failure fallback chain applied at bind time);
 //   * a KrylovWorkspace, so the CG/BiCGSTAB loops allocate nothing after
@@ -24,13 +24,13 @@
 // epoch bumps) rebuild the Solver with it; callers that only refill its
 // values on the same pattern (CsrMatrix::refresh_values) call refresh(),
 // which redoes every value-dependent bind step in the existing storage.
-// A one-shot solve is Solver(a, options).solve(b, x).  See
+// A one-shot solve is Solver(a, options).solve(b, x); a single attempt of
+// the primary method, with no ladder behind it, is iterate_once().  See
 // docs/linear_algebra.md.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "la/backend.h"
 #include "la/bicgstab.h"
@@ -38,28 +38,24 @@
 
 namespace vstack::la {
 
-enum class SolverKind { Auto, Cg, BiCgStab, DenseLu };
+/// The primary method a bind resolved to from the matrix's symmetry.
+enum class SolverKind { Cg, BiCgStab };
 
-/// Preconditioner ladder position.  Auto preserves the historic behavior
-/// (ILU(0) when use_ilu0, else Jacobi).  Ic0 sits one tier above ILU(0)
-/// for symmetric systems: half the factor memory and triangular-solve work,
-/// but it requires a (numerically) SPD matrix -- on breakdown, or on a
-/// non-symmetric system, it degrades to ILU(0) with a warning, then to
-/// Jacobi, exactly like the historic factorization-failure chain.
-enum class PrecondKind { Auto, Ic0, Ilu0, Jacobi, Identity };
+/// Preconditioner ladder position.  Auto means ILU(0), the historic
+/// default.  Ic0 sits one tier above ILU(0) for symmetric systems: half the
+/// factor memory and triangular-solve work, but it requires a (numerically)
+/// SPD matrix -- on breakdown, or on a non-symmetric system, it degrades to
+/// ILU(0) with a warning, then to Jacobi, exactly like the historic
+/// factorization-failure chain.
+enum class PrecondKind { Auto, Ic0, Ilu0, Jacobi };
 
 struct SolveOptions {
-  SolverKind kind = SolverKind::Auto;
   IterativeOptions iterative;
-  bool use_ilu0 = true;  // PrecondKind::Auto falls back to Jacobi when false
   /// Which preconditioner tier to start from (degrades on failure).
   PrecondKind preconditioner = PrecondKind::Auto;
   /// Kernel backend; Auto defers to default_backend() (--la-backend /
   /// $VSTACK_LA_BACKEND / reference).
   BackendChoice backend = BackendChoice::Auto;
-  /// Escalate through the fallback ladder on non-convergence.  When false,
-  /// only the primary method runs (one attempt).
-  bool escalate = true;
   /// Largest system the final dense-LU rung will factorize; anything bigger
   /// skips that rung (a dense factorization would not fit in memory).
   std::size_t dense_fallback_max_size = 4000;
@@ -95,17 +91,6 @@ class Solver {
   SolveReport solve(const Vector& b, Vector& x,
                     const IterativeOptions& iterative);
 
-  /// Batched multi-RHS solve: each xs[i] is the initial guess for bs[i]
-  /// (resized to zeros when absent).  Runs the RHSs sequentially through
-  /// the shared workspace / prepared matrix / preconditioner, so results
-  /// are bitwise identical to looping solve() -- the win is amortization,
-  /// not reordering.  Returns one report per RHS.
-  std::vector<SolveReport> solve_many(const std::vector<Vector>& bs,
-                                      std::vector<Vector>& xs);
-  std::vector<SolveReport> solve_many(const std::vector<Vector>& bs,
-                                      std::vector<Vector>& xs,
-                                      const IterativeOptions& iterative);
-
   /// One attempt of the primary method (CG for symmetric binds, BiCGSTAB
   /// otherwise) with the bound preconditioner -- no escalation ladder, no
   /// guess restore on failure.  This is the warm-start fast path used by
@@ -115,7 +100,7 @@ class Solver {
                            const IterativeOptions& iterative);
 
   /// Re-bind after the bound matrix's values changed in place on the same
-  /// sparsity pattern: re-runs the Auto symmetry probe, re-prepares the
+  /// sparsity pattern: re-runs the symmetry probe, re-prepares the
   /// backend form, and refactors the bound preconditioner numerically in
   /// its existing storage.  A failing refactor degrades down the same
   /// IC(0) -> ILU(0) -> Jacobi chain as construction, so afterwards every
@@ -125,10 +110,10 @@ class Solver {
   const CsrMatrix& matrix() const { return *a_; }
   const Backend& backend() const { return *backend_; }
   const SolveOptions& options() const { return options_; }
-  /// Kind after Auto resolution (never SolverKind::Auto).
+  /// Primary method resolved at bind time from the matrix's symmetry.
   SolverKind kind() const { return kind_; }
   /// Label of the preconditioner actually built after fallbacks, e.g.
-  /// "ic0", "ilu0", "jacobi", "identity" -- attempt names embed it.
+  /// "ic0", "ilu0", "jacobi" -- attempt names embed it.
   const std::string& preconditioner_label() const { return precond_label_; }
 
  private:

@@ -143,16 +143,10 @@ class ActionTranslator {
   }
 
   bool retarget(std::size_t layer, double factor) {
-    // R_series ratio at the boosted switching frequency: SSL shrinks with
-    // frequency, FSL does not; the compact model captures the crossover.
-    double ratio = 1.0 / factor;  // SSL-dominated limit
-    if (options_.compact_model != nullptr) {
-      const double f0 = options_.compact_model->design()
-                            .nominal_switching_frequency;
-      ratio = options_.compact_model->r_series(f0 * factor) /
-              options_.compact_model->r_series(f0);
-    }
-    if (ratio >= 1.0) return false;  // FSL-dominated: retarget cannot help
+    // R_series ratio at the boosted switching frequency, in the
+    // SSL-dominated limit (R_SSL scales as 1/f_sw).
+    const double ratio = 1.0 / factor;
+    if (ratio >= 1.0) return false;  // no boost: retarget cannot help
     bool changed = false;
     const std::size_t layer_count = net_.config().layer_count;
     for (const std::size_t level : adjacent_levels(layer, layer_count)) {

@@ -25,6 +25,10 @@ double fixed_potential(std::size_t node, double supply_voltage) {
 /// glaring (and flagged) voltage deviation rather than hiding.
 constexpr double kIslandPinConductance = 1.0;
 
+/// Fixed-point refinements of the per-converter series resistance under
+/// closed-loop converter control.
+constexpr std::size_t kControlIterations = 3;
+
 }  // namespace
 
 PdnModel::PdnModel(const StackupConfig& config,
@@ -49,7 +53,7 @@ PdnSolution PdnModel::solve(const std::vector<LoadInjection>& loads,
     // Closed-loop converters modulate f_sw (and hence R_SSL) with load:
     // iterate the series resistances to a fixed point.
     const sc::ScCompactModel model(cfg.converter);
-    for (std::size_t it = 0; it < options.control_iterations; ++it) {
+    for (std::size_t it = 0; it < kControlIterations; ++it) {
       for (std::size_t c = 0; c < r_series.size(); ++c) {
         if (!network_.converters()[c].enabled) continue;
         const double f =

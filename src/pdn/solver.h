@@ -79,9 +79,6 @@ struct PdnSolution {
 struct PdnSolveOptions {
   la::IterativeOptions iterative{.max_iterations = 20000,
                                  .relative_tolerance = 1e-9};
-  /// Fixed-point refinements of the per-converter series resistance for
-  /// closed-loop converter control (ignored for open loop).
-  std::size_t control_iterations = 3;
   /// Preconditioner tier for the cached system.  Auto keeps the historic
   /// ILU(0); Ic0 opts the SPD PDN matrices into incomplete Cholesky (half
   /// the factor memory/solve work, falls back to ILU(0) on breakdown).

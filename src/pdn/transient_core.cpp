@@ -54,7 +54,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   Slot& c = cached(h, backward_euler, t, report);
   if (c.direct) {
     la::Vector sol = c.direct->solve(rhs);
-    if (sim::finite_and_bounded(sol, options_.control.overflow_limit)) {
+    if (sim::finite_and_bounded(sol)) {
       x = std::move(sol);
       return true;
     }
@@ -64,8 +64,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   if (c.solver) {
     la::Vector iterate = x;
     const auto r = c.solver->iterate_once(rhs, iterate, options_.iterative);
-    if (r.converged &&
-        sim::finite_and_bounded(iterate, options_.control.overflow_limit)) {
+    if (r.converged && sim::finite_and_bounded(iterate)) {
       x = std::move(iterate);
       return true;
     }
@@ -80,8 +79,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   }
   la::Vector iterate = x;
   const auto r = c.solver->solve(rhs, iterate, options_.iterative);
-  if (r.converged &&
-      sim::finite_and_bounded(iterate, options_.control.overflow_limit)) {
+  if (r.converged && sim::finite_and_bounded(iterate)) {
     x = std::move(iterate);
     return true;
   }
@@ -417,7 +415,7 @@ bool AdaptiveStepper::step(const std::vector<LoadInjection>& loads,
     ctl_.reject_step("linear solve failure");
     return false;
   }
-  if (!sim::finite_and_bounded(candidate_, options_.control.overflow_limit)) {
+  if (!sim::finite_and_bounded(candidate_)) {
     ctl_.reject_step("NaN/overflow guard");
     return false;
   }

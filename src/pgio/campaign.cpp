@@ -13,6 +13,9 @@ namespace {
 
 const telemetry::Counter c_cases("pgio.campaign.cases");
 
+/// Per-node decap [F] of a load step on a netlist without C cards.
+constexpr double kDefaultDecapF = 1e-12;
+
 void apply_faults(ImportedGrid& grid, const pdn::FaultSet& faults) {
   for (const auto& fault : faults.faults()) {
     switch (fault.kind) {
@@ -202,13 +205,13 @@ core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
       if (f % 2 == 0) {
         faults.open_conductor(index);
       } else {
-        faults.degrade_conductor(index, options.degrade_factor);
+        faults.degrade_conductor(index, core::kDegradeFactor);
       }
     }
     for (std::size_t f = 0; f < options.leakage_faults_per_trial; ++f) {
       if (grid.unknown_count() == 0) break;
       faults.leakage_to_ground(rng.uniform_index(grid.unknown_count()),
-                               options.leakage_resistance);
+                               core::kLeakageResistance);
     }
     plans.push_back(std::move(faults));
     labels.push_back("MC#" + std::to_string(trial));
@@ -275,7 +278,7 @@ LoadStepReport simulate_load_step(const ImportedGrid& grid,
                               static_cast<std::ptrdiff_t>(n));
   bool has_netlist_caps = false;
   for (const double c : cap) has_netlist_caps |= c > 0.0;
-  if (!has_netlist_caps) cap.assign(n, options.default_decap_f);
+  if (!has_netlist_caps) cap.assign(n, kDefaultDecapF);
 
   // Backward-Euler companion system: (G + C/h) v_new = b + (C/h) v_old.
   const double h = options.dt_s;

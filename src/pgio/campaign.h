@@ -47,8 +47,6 @@ struct GridCampaignOptions {
   std::size_t trials = 25;
   std::size_t faults_per_trial = 2;
   std::size_t leakage_faults_per_trial = 0;
-  double leakage_resistance = 10.0;  // [Ohm]
-  double degrade_factor = 8.0;       // resistance multiplier, partial faults
   std::uint64_t seed = 42;
 
   GridSolveOptions solve;
@@ -69,8 +67,8 @@ core::ContingencyReport run_n_minus_1(const ImportedGrid& grid,
 
 /// Seeded Monte Carlo N-k: each trial samples faults_per_trial conductor
 /// faults weighted by current stress (alternating full opens and
-/// degrade_factor degradations) plus leakage_faults_per_trial shorts to
-/// ground at stress-sampled nodes.
+/// core::kDegradeFactor degradations) plus leakage_faults_per_trial
+/// core::kLeakageResistance shorts to ground at uniformly sampled nodes.
 core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
                                         const GridCampaignOptions& options =
                                             {});
@@ -96,9 +94,6 @@ struct LoadStepOptions {
   double step_scale = 2.0;    // load multiplier after the step
   double duration_s = 1e-6;   // simulated window after the step
   double dt_s = 5e-9;         // backward-Euler step
-  /// Per-node decap [F] used when the netlist carries no C cards (most IBM
-  /// DC benchmarks); netlist decap wins when present.
-  double default_decap_f = 1e-12;
   /// Recovered when every node is within recovery_fraction * (max pad
   /// potential) of the post-step DC solution.
   double recovery_fraction = 0.02;
@@ -123,8 +118,9 @@ struct LoadStepReport {
 /// Backward-Euler transient of a load step at t = 0: capacitors stamp the
 /// standard companion model (G + C/h, history current (C/h) v_old), the
 /// pre-step DC point is the initial condition, and the post-step DC point
-/// is the recovery target.  Non-throwing on solver failure (check
-/// solve_ok).
+/// is the recovery target.  A netlist without C cards (most IBM DC
+/// benchmarks) gets 1 pF of decap per node.  Non-throwing on solver failure
+/// (check solve_ok).
 LoadStepReport simulate_load_step(const ImportedGrid& grid,
                                   const LoadStepOptions& options = {});
 

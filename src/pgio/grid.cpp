@@ -15,6 +15,11 @@ namespace {
 const telemetry::Counter c_solve_calls("pgio.solve.calls");
 const telemetry::Counter c_solve_failures("pgio.solve.failures");
 
+/// Conductance [S] pinning one node of each floating component to ground.
+/// Small enough not to perturb anchored nets, large enough to keep the
+/// matrix invertible.
+constexpr double kWeakPinConductance = 1e-6;
+
 std::string at_line(const PgNetlist& netlist, std::uint32_t line) {
   return netlist.source + ":" + std::to_string(line);
 }
@@ -35,8 +40,7 @@ struct ImportedGrid::Cached {
   std::unique_ptr<la::Solver> solver;
 };
 
-ImportedGrid::ImportedGrid(const PgNetlist& netlist, const GridOptions& options)
-    : netlist_(&netlist), options_(options) {
+ImportedGrid::ImportedGrid(const PgNetlist& netlist) : netlist_(&netlist) {
   VS_SPAN("pgio.grid.build");
   const std::size_t n = netlist.nodes.size();
   const std::size_t ground = n;  // union-find index of the ground net
@@ -205,7 +209,6 @@ void ImportedGrid::refresh_anchoring() {
 
 ImportedGrid::ImportedGrid(const ImportedGrid& other)
     : netlist_(other.netlist_),
-      options_(other.options_),
       unknown_count_(other.unknown_count_),
       topology_epoch_(other.topology_epoch_),
       parent_(other.parent_),
@@ -305,7 +308,7 @@ void ImportedGrid::stamp_conductances(la::CooBuilder& builder,
     }
   }
   for (const std::size_t s : weak_pins_) {
-    builder.add(s, s, options_.weak_pin_conductance);
+    builder.add(s, s, kWeakPinConductance);
   }
   for (const auto& l : loads_) {
     if (l.vdd_node < unknown_count_) load_rhs[l.vdd_node] -= l.current;

@@ -14,9 +14,9 @@
 //     so the contingency/campaign machinery (pgio/campaign.h) can treat
 //     imported and synthesized grids uniformly.
 //   * Connected components with no fixed slot (dangling subgrids) are
-//     weak-pinned to ground through GridOptions::weak_pin_conductance so
-//     the system stays nonsingular; their slots, and any load current they
-//     carry, are reported as floating rather than silently solved.
+//     weak-pinned to ground through a 1 uS conductance so the system stays
+//     nonsingular; their slots, and any load current they carry, are
+//     reported as floating rather than silently solved.
 //
 // DC solves stamp the slot conductance Laplacian with Dirichlet
 // elimination (fixed-slot terms folded into the RHS), bind one la::Solver
@@ -39,13 +39,6 @@ namespace vstack::pgio {
 
 /// No-slot sentinel (lookup misses).
 inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-struct GridOptions {
-  /// Conductance [S] pinning one node of each floating component to ground.
-  /// Small enough not to perturb anchored nets, large enough to keep the
-  /// matrix invertible.
-  double weak_pin_conductance = 1e-6;
-};
 
 struct GridSolveOptions {
   la::IterativeOptions iterative{.max_iterations = 20000,
@@ -84,8 +77,7 @@ class ImportedGrid {
   /// source:line context on post-collapse conflicts -- two pads at
   /// different potentials shorted together, or a nonzero pad shorted into
   /// the ground net.
-  explicit ImportedGrid(const PgNetlist& netlist,
-                        const GridOptions& options = {});
+  explicit ImportedGrid(const PgNetlist& netlist);
 
   /// Copies share the netlist but drop the cached system; campaign workers
   /// copy the base grid, mutate faults, and solve independently.
@@ -180,7 +172,6 @@ class ImportedGrid {
   void ensure_system(const GridSolveOptions& options) const;
 
   const PgNetlist* netlist_;
-  GridOptions options_;
   std::size_t unknown_count_ = 0;
   std::size_t topology_epoch_ = 0;
 

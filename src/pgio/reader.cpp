@@ -146,7 +146,6 @@ PgNetlist read_netlist(std::istream& in, const std::string& source_name,
   };
 
   const auto claim_name = [&](std::string_view name) {
-    if (!options.check_duplicate_elements) return;
     const std::size_t before = element_names.size();
     element_names.intern(name);
     if (element_names.size() == before) {

@@ -47,11 +47,6 @@ struct ReadOptions {
   std::size_t max_elements = 100'000'000;
   std::size_t max_name_bytes = 1ull << 30;  // interned node-name arena
   std::size_t max_line_length = 8192;
-
-  /// Reject duplicate element names (one interned-name table over the
-  /// element cards).  Costs ~name bytes of memory; leave on except for
-  /// trusted machine-generated streams.
-  bool check_duplicate_elements = true;
 };
 
 /// Parse a netlist from a stream in one pass.  Throws vstack::Error with a

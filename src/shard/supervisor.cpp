@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -28,6 +27,9 @@ namespace {
 
 const telemetry::Counter t_started("shard.workers.started");
 const telemetry::Counter t_restarted("shard.workers.restarted");
+
+constexpr double kPollS = 0.2;     // reap/health poll period [s]
+constexpr double kBackoffS = 0.5;  // initial restart backoff (doubles, cap 16x)
 
 struct Slot {
   pid_t pid = -1;
@@ -68,9 +70,6 @@ void SupervisorOptions::validate() const {
   VS_REQUIRE(shards >= 1, "supervisor needs at least one shard");
   VS_REQUIRE(!worker_command.empty() && !worker_command.front().empty(),
              "supervisor needs a worker command");
-  VS_REQUIRE(std::isfinite(poll_s) && poll_s > 0.0, "poll_s must be > 0");
-  VS_REQUIRE(std::isfinite(backoff_s) && backoff_s > 0.0,
-             "backoff_s must be > 0");
 }
 
 SupervisorReport run_supervised_job(const core::StudyContext& ctx,
@@ -180,7 +179,7 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
           static_cast<double>(1u << (slot->consecutive_crashes > 4
                                          ? 4
                                          : slot->consecutive_crashes - 1));
-      slot->next_start_s = now + opts.backoff_s * factor;
+      slot->next_start_s = now + kBackoffS * factor;
       VS_LOG_WARN("shard: worker " << slot->worker_id << " died ("
                                    << (WIFSIGNALED(status)
                                            ? "signal " +
@@ -188,7 +187,7 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
                                            : "exit " + std::to_string(
                                                            WEXITSTATUS(status)))
                                    << "); restart in "
-                                   << opts.backoff_s * factor << " s");
+                                   << kBackoffS * factor << " s");
     }
 
     // Restart due slots (never after stop: the fleet is draining).
@@ -218,12 +217,8 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
       any_pending = any_pending || (!s.done && !s.failed);
     }
     if (!any_live && (terminated || !any_pending)) break;
-    if (!any_live && any_pending) {
-      // Everything is waiting on backoff; sleep until the earliest gate.
-      std::this_thread::sleep_for(std::chrono::duration<double>(opts.poll_s));
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(opts.poll_s));
+    // Poll again: reap live workers, or wait out a restart backoff.
+    std::this_thread::sleep_for(std::chrono::duration<double>(kPollS));
   }
 
   write_health();

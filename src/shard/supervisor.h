@@ -42,8 +42,6 @@ struct SupervisorOptions {
   /// --jobs=N" is appended.  Typically {"/proc/self/exe" resolved}.
   std::vector<std::string> worker_command;
   std::size_t worker_jobs = 1;   // intra-worker parallelism
-  double poll_s = 0.2;           // reap/health poll period
-  double backoff_s = 0.5;        // initial restart backoff (doubles, cap 16x)
   std::size_t max_restarts = 20; // per slot
   double health_interval_s = 2.0;  // job health.json period; 0 disables
   Deadline stop;

@@ -13,6 +13,12 @@ using telemetry::monotonic_seconds;
 
 namespace {
 
+/// Step-size controller safety factor on the error-optimal dt.
+constexpr double kSafety = 0.8;
+
+/// Step guard threshold: any |entry| beyond this rejects a candidate.
+constexpr double kOverflowLimit = 1e12;
+
 void record_transient_telemetry(const TransientReport& report,
                                 double wall_start_seconds) {
   static const telemetry::Counter t_runs("sim.transient.runs");
@@ -85,10 +91,8 @@ void StepControlOptions::validate() const {
   VS_REQUIRE(dt_min >= 0.0, "dt_min must be non-negative");
   VS_REQUIRE(dt_grow > 1.0, "dt_grow must exceed 1");
   VS_REQUIRE(dt_shrink > 0.0 && dt_shrink < 1.0, "dt_shrink must be in (0,1)");
-  VS_REQUIRE(safety > 0.0 && safety <= 1.0, "safety must be in (0,1]");
   VS_REQUIRE(max_rejections_per_step >= 1,
              "need at least one rejection before collapse");
-  VS_REQUIRE(overflow_limit > 0.0, "overflow limit must be positive");
 }
 
 StepController::StepController(const StepControlOptions& options,
@@ -156,7 +160,7 @@ bool StepController::finish_step(double err_norm, int order) {
     // next step slightly instead of oscillating between accept and reject.
     double grow = opts_.dt_grow;
     if (err_norm > 0.0) {
-      grow = std::min(grow, opts_.safety * std::pow(err_norm, -exponent));
+      grow = std::min(grow, kSafety * std::pow(err_norm, -exponent));
       grow = std::max(grow, opts_.dt_shrink);
     }
     dt_ = std::min(dt_ * grow, dt_max_);
@@ -169,8 +173,7 @@ bool StepController::finish_step(double err_norm, int order) {
   double shrink = opts_.dt_shrink;
   if (std::isfinite(err_norm) && err_norm > 1.0) {
     shrink = std::max(shrink,
-                      std::min(0.5, opts_.safety * std::pow(err_norm,
-                                                            -exponent)));
+                      std::min(0.5, kSafety * std::pow(err_norm, -exponent)));
   }
   dt_ *= shrink;
   if (dt_ < opts_.dt_min ||
@@ -268,9 +271,9 @@ double error_norm(const std::vector<double>& value,
   return worst;
 }
 
-bool finite_and_bounded(const std::vector<double>& x, double limit) {
+bool finite_and_bounded(const std::vector<double>& x) {
   for (const double v : x) {
-    if (!std::isfinite(v) || std::abs(v) > limit) return false;
+    if (!std::isfinite(v) || std::abs(v) > kOverflowLimit) return false;
   }
   return true;
 }

@@ -88,7 +88,6 @@ struct StepControlOptions {
   double dt_min = 0.0;      // 0 = derived as dt_max * 1e-7
   double dt_grow = 2.0;     // max growth factor per accepted step
   double dt_shrink = 0.1;   // max shrink factor per rejected step
-  double safety = 0.8;
 
   int max_rejections_per_step = 16;  // consecutive, then StepCollapse
 
@@ -97,10 +96,6 @@ struct StepControlOptions {
   /// status BudgetExhausted instead of running away.
   std::size_t max_steps = 2'000'000;
   double wall_clock_budget_s = 0.0;
-
-  /// Guard threshold: any |entry| beyond this (or any non-finite entry) in a
-  /// candidate solution rejects the step.
-  double overflow_limit = 1e12;
 
   /// External cancellation / wall-clock deadline (service requests, Ctrl-C).
   /// Checked before every step alongside the budgets, adaptive or fixed;
@@ -202,8 +197,9 @@ double error_norm(const std::vector<double>& value,
                   const std::vector<double>& predicted, double rel_tol,
                   double abs_tol);
 
-/// True when every entry is finite and |entry| <= limit.
-bool finite_and_bounded(const std::vector<double>& x, double limit);
+/// The step guard: true when every entry of a candidate solution is finite
+/// and |entry| <= 1e12.  Any other candidate rejects the step.
+bool finite_and_bounded(const std::vector<double>& x);
 
 /// Event schedule of clocked-switch edges: `fractions` are edge positions
 /// within one period (in [0, 1)); next_after(t) returns the first edge

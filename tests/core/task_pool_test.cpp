@@ -19,12 +19,10 @@
 namespace vstack::core {
 namespace {
 
-ExecutionPolicy policy(std::size_t jobs, std::size_t chunk = 1,
-                       bool cancel_on_error = true) {
+ExecutionPolicy policy(std::size_t jobs, std::size_t chunk = 1) {
   ExecutionPolicy p;
   p.jobs = jobs;
   p.chunk = chunk;
-  p.cancel_on_error = cancel_on_error;
   return p;
 }
 
@@ -179,28 +177,38 @@ TEST(TaskPoolTest, CancelOnErrorCommitsExactPrefixAndRethrows) {
   for (std::size_t i = 0; i < commits.size(); ++i) EXPECT_EQ(commits[i], i);
 }
 
-TEST(TaskPoolTest, NoCancelEvaluatesEverythingAndRethrowsLowestError) {
+TEST(TaskPoolTest, RethrowsLowestIndexErrorEvenWhenAHigherOneFailsFirst) {
+  // Index 7 fails first in time; index 3, already running, fails after it.
+  // The handshake makes the order deterministic: 3 is claimed before 7, so
+  // it starts before any failure, and it throws only once 7 has thrown.
   const std::size_t count = 12;
-  const TaskPool pool(policy(4, 1, /*cancel_on_error=*/false));
-  std::atomic<std::size_t> executed{0};
+  const TaskPool pool(policy(4));
+  std::atomic<bool> three_started{false};
+  std::atomic<bool> seven_failed{false};
   std::vector<std::size_t> commits;
   try {
     pool.run_ordered(
         count,
         [&](std::size_t i) {
-          executed.fetch_add(1);
-          if (i == 3) throw Error("first failure");
-          if (i == 7) throw Error("second failure");
+          if (i == 3) {
+            three_started.store(true);
+            while (!seven_failed.load()) std::this_thread::yield();
+            throw Error("first failure");
+          }
+          if (i == 7) {
+            while (!three_started.load()) std::this_thread::yield();
+            seven_failed.store(true);
+            throw Error("second failure");
+          }
         },
         [&](std::size_t i) { commits.push_back(i); });
     FAIL() << "expected the work error to propagate";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "first failure");  // lowest index wins
   }
-  EXPECT_EQ(executed.load(), count);  // no cancellation: every task ran
-  // Every survivor committed, in order, with the failed indices skipped.
-  const std::vector<std::size_t> expected{0, 1, 2, 4, 5, 6, 8, 9, 10, 11};
-  EXPECT_EQ(commits, expected);
+  // A contiguous prefix that ends before the lowest failed index.
+  EXPECT_LE(commits.size(), 3u);
+  for (std::size_t i = 0; i < commits.size(); ++i) EXPECT_EQ(commits[i], i);
 }
 
 TEST(TaskPoolTest, CommitExceptionCancelsAndRethrows) {

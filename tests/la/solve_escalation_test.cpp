@@ -121,19 +121,6 @@ TEST(SolveEscalationTest, SingularSystemFailsCleanlyWithoutNan) {
   EXPECT_DOUBLE_EQ(x[1], -7.0);
 }
 
-TEST(SolveEscalationTest, EscalationOffRunsExactlyOneAttempt) {
-  const CsrMatrix a = from_dense({{1.0, 2.0}, {2.0, 1.0}});  // indefinite
-  const Vector b{1.0, 0.0};  // negative-curvature direction: CG rejects
-  Vector x;
-  SolveOptions opts;
-  opts.escalate = false;
-  const auto report = Solver(a, opts).solve(b, x);
-  EXPECT_FALSE(report.converged);
-  EXPECT_EQ(report.attempts.size(), 1u);
-  EXPECT_FALSE(report.diagnostic.empty());
-  EXPECT_TRUE(all_finite(x));
-}
-
 TEST(SolveEscalationTest, DenseFallbackRespectsSizeCap) {
   // With the dense rung capped below the system size, the singular system
   // has no recovery path at all -- still no throw, still finite.
@@ -168,20 +155,19 @@ TEST(SolveEscalationTest, StagnationDetectionTerminatesEarly) {
   }
   const CsrMatrix a = builder.build();
   const Vector b(400, 1.0);
+  Solver solver(a);
+  ASSERT_EQ(solver.kind(), SolverKind::Cg);
 
-  Vector x_ok;
-  SolveOptions healthy;
-  healthy.kind = SolverKind::Cg;
-  healthy.escalate = false;
-  ASSERT_TRUE(Solver(a, healthy).solve(b, x_ok).converged);
+  Vector x_ok(a.size(), 0.0);
+  ASSERT_TRUE(solver.iterate_once(b, x_ok, IterativeOptions{}).converged);
 
-  Vector x;
-  SolveOptions opts = healthy;
-  opts.iterative.stagnation_window = 1;
-  opts.iterative.stagnation_factor = 1e-30;  // unreachable improvement
-  const auto report = Solver(a, opts).solve(b, x);
+  Vector x(a.size(), 0.0);
+  IterativeOptions stalling;
+  stalling.stagnation_window = 1;
+  stalling.stagnation_factor = 1e-30;  // unreachable improvement
+  const auto report = solver.iterate_once(b, x, stalling);
   EXPECT_FALSE(report.converged);
-  EXPECT_LE(report.attempts[0].iterations, 3u);
+  EXPECT_LE(report.iterations, 3u);
   EXPECT_TRUE(all_finite(x));
 }
 

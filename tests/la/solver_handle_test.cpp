@@ -1,5 +1,5 @@
-// la::Solver handle semantics: shim equivalence, workspace reuse,
-// solve_many batching, iterate_once, per-call option overrides, and
+// la::Solver handle semantics: one-shot equivalence, workspace reuse,
+// warm and cold starts, iterate_once, per-call option overrides, and
 // refresh() after an in-place value refill.
 #include "la/solver.h"
 
@@ -266,70 +266,42 @@ TEST(SolverHandleTest, RepeatedSolvesAreIdentical) {
   EXPECT_EQ(r_first.iterations, r_second.iterations);
 }
 
-TEST(SolverHandleTest, SolveManyMatchesLoopedSolve) {
-  const CsrMatrix a = grid_laplacian(8);
-  std::vector<Vector> bs;
-  for (int k = 0; k < 3; ++k) {
-    Vector b(a.size(), 0.0);
-    b[static_cast<std::size_t>(k) * 7] = 1.0 + k;
-    bs.push_back(std::move(b));
-  }
-
-  Solver batched(a);
-  std::vector<Vector> xs_batched;
-  const auto reports = batched.solve_many(bs, xs_batched);
-
-  Solver looped(a);
-  ASSERT_EQ(reports.size(), bs.size());
-  ASSERT_EQ(xs_batched.size(), bs.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    Vector x;
-    const auto r = looped.solve(bs[i], x);
-    ASSERT_TRUE(reports[i].converged);
-    ASSERT_TRUE(r.converged);
-    EXPECT_EQ(xs_batched[i], x) << "rhs " << i;
-    EXPECT_EQ(reports[i].iterations, r.iterations) << "rhs " << i;
-  }
-}
-
-TEST(SolverHandleTest, SolveManyUsesGuessesAndResizesMissing) {
+TEST(SolverHandleTest, SolveUsesGuessAndResizesMissing) {
   const CsrMatrix a = grid_laplacian(6);
-  const std::vector<Vector> bs(2, Vector(a.size(), 1.0));
+  const Vector b(a.size(), 1.0);
 
   Solver solver(a);
   Vector reference_x;
-  const auto cold = solver.solve(bs[0], reference_x);
+  const auto cold = solver.solve(b, reference_x);
   ASSERT_TRUE(cold.converged);
 
-  // xs[0] warm-started at the solution, xs[1] absent (zero guess).
-  std::vector<Vector> xs;
-  xs.push_back(reference_x);
-  const auto reports = solver.solve_many(bs, xs);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].converged);
-  EXPECT_TRUE(reports[1].converged);
-  EXPECT_LE(reports[0].iterations, 1u);           // warm start
-  EXPECT_EQ(reports[1].iterations, cold.iterations);  // cold start
+  // Warm-started at the solution.
+  Vector warm_x = reference_x;
+  const auto warm = solver.solve(b, warm_x);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_LE(warm.iterations, 1u);
+
+  // An absent guess is resized to zeros: a cold start again.
+  Vector missing_x;
+  const auto again = solver.solve(b, missing_x);
+  EXPECT_TRUE(again.converged);
+  EXPECT_EQ(again.iterations, cold.iterations);
 }
 
 TEST(SolverHandleTest, PerCallIterativeOverride) {
   const CsrMatrix a = grid_laplacian(16);
   const Vector b(a.size(), 1.0);
-
-  SolveOptions options;
-  options.escalate = false;
-  Solver solver(a, options);
+  Solver solver(a);
 
   IterativeOptions starved;
   starved.max_iterations = 1;
   starved.relative_tolerance = 1e-12;
-  Vector x_starved;
-  const auto r_starved = solver.solve(b, x_starved, starved);
-  EXPECT_FALSE(r_starved.converged);
+  Vector x_starved(a.size(), 0.0);
+  EXPECT_FALSE(solver.iterate_once(b, x_starved, starved).converged);
 
-  // The bind-time options are untouched: a plain solve still converges.
-  Vector x;
-  EXPECT_TRUE(solver.solve(b, x).converged);
+  // The bind-time options are untouched: an attempt under them converges.
+  Vector x(a.size(), 0.0);
+  EXPECT_TRUE(solver.iterate_once(b, x, solver.options().iterative).converged);
 }
 
 TEST(SolverHandleTest, IterateOnceIsSingleAttempt) {

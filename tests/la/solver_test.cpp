@@ -142,17 +142,6 @@ TEST(SolveTest, AutoHandlesNonSymmetric) {
   EXPECT_LT(residual(a, x, b), 1e-8);
 }
 
-TEST(SolveTest, DenseLuKindSolvesExactly) {
-  const CsrMatrix a = laplacian_1d(8);
-  const Vector b(8, 2.0);
-  Vector x;
-  SolveOptions opts;
-  opts.kind = SolverKind::DenseLu;
-  const auto report = Solver(a, opts).solve(b, x);
-  EXPECT_TRUE(report.converged);
-  EXPECT_LT(residual(a, x, b), 1e-12);
-}
-
 // Property-style sweep: CG solves grids of increasing size with bounded
 // iteration growth and always reaches the tolerance.
 class CgGridSweep : public ::testing::TestWithParam<std::size_t> {};

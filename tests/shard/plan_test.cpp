@@ -138,6 +138,19 @@ TEST(JobConfigHashTest, MatchesTheCampaignManifestHash) {
                                        setup.options));
 }
 
+TEST(JobConfigHashTest, DefaultHashesArePinned) {
+  // The hash must keep folding the same bytes for the same campaign, or
+  // existing manifests and shard plans stop resuming.  These values were
+  // recorded from the code that still had the fault severities and the
+  // mission time as options.
+  const JobSpec spec;
+  const CampaignSetup setup = make_campaign(ctx(), spec);
+  EXPECT_EQ(core::hex64(core::campaign_config_hash(
+                setup.config, setup.activities, core::CampaignOptions{})),
+            "8c7d30324ae2ae94");
+  EXPECT_EQ(core::hex64(job_config_hash(ctx(), spec)), "ee1823efb934eea1");
+}
+
 TEST(PublishPlanTest, IdempotentForSameJobFatalForDifferentJob) {
   const std::string dir = temp_job_dir("publish");
   const JobPaths paths(dir);

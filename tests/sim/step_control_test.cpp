@@ -199,11 +199,13 @@ TEST(ErrorNormTest, NormalizesPerEntry) {
 }
 
 TEST(GuardTest, FiniteAndBounded) {
-  EXPECT_TRUE(finite_and_bounded({1.0, -2.0, 0.0}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({1.0, 100.0}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({std::nan("")}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({kInf}, 10.0));
-  EXPECT_TRUE(finite_and_bounded({}, 10.0));
+  EXPECT_TRUE(finite_and_bounded({1.0, -2.0, 0.0}));
+  EXPECT_TRUE(finite_and_bounded({1e12, -1e12}));  // the bound is inclusive
+  EXPECT_FALSE(finite_and_bounded({1.0, 1e13}));
+  EXPECT_FALSE(finite_and_bounded({-1e13}));
+  EXPECT_FALSE(finite_and_bounded({std::nan("")}));
+  EXPECT_FALSE(finite_and_bounded({kInf}));
+  EXPECT_TRUE(finite_and_bounded({}));
 }
 
 TEST(PeriodicEventsTest, NextAfterWalksTheSchedule) {
