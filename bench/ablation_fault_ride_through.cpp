@@ -23,6 +23,7 @@
 #include "common/table.h"
 #include "core/study.h"
 #include "core/task_pool.h"
+#include "pdn/fault.h"
 #include "pdn/ride_through.h"
 #include "power/workload.h"
 
@@ -34,16 +35,7 @@ using namespace vstack;
 pdn::FaultSet stacked_fault(const pdn::PdnModel& model, std::size_t level,
                             std::size_t keep) {
   pdn::FaultSet fs;
-  std::size_t kept = 0;
-  const auto& convs = model.network().converters();
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    if (convs[i].level != level) continue;
-    if (kept < keep) {
-      ++kept;
-    } else {
-      fs.converter_stuck_off(i);
-    }
-  }
+  pdn::stick_off_converter_bank(fs, model.network(), level, keep);
   return fs;
 }
 

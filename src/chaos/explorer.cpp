@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/durable_file.h"
 #include "common/error.h"
 
 namespace vstack::chaos {
@@ -85,15 +86,6 @@ RunResult run_cli(const std::string& cli,
   return r;
 }
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path);
-  VS_REQUIRE(static_cast<bool>(in),
-             "chaos explorer: cannot read '" + path.string() + "'");
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
-
 /// Manifest masking (same convention as tests/scripts/shard_chaos.sh):
 /// wall_seconds is the one field measuring real time, not physics.
 std::string mask_manifest(const std::string& text) {
@@ -155,7 +147,7 @@ std::vector<std::string> shard_command(const fs::path& dir) {
 void shard_prepare(const fs::path&) {}  // the CLI creates the job dir
 
 std::string shard_artifact(const fs::path& dir) {
-  return mask_manifest(read_file(dir / "job" / "merged.jsonl"));
+  return mask_manifest(read_file((dir / "job" / "merged.jsonl").string()));
 }
 
 // -- serve workload ---------------------------------------------------------

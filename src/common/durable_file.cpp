@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -205,6 +207,14 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   // durable -- a power cut may roll the name back to the old content.
   VS_FAILPOINT("durable_file.atomic.after_rename");
   fsync_directory(directory_of(path));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path);
+  VS_REQUIRE(static_cast<bool>(file), "cannot open '" + path + "'");
+  std::ostringstream oss;
+  oss << file.rdbuf();
+  return oss.str();
 }
 
 bool create_exclusive_file(const std::string& path,

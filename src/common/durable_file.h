@@ -67,6 +67,10 @@ class DurableAppender {
 /// Throws vstack::Error on any I/O failure (the temp file is removed).
 void atomic_write_file(const std::string& path, const std::string& content);
 
+/// The whole content of `path`.  Throws vstack::Error ("cannot open
+/// '<path>'") when the file cannot be opened.
+std::string read_file(const std::string& path);
+
 // ---------------------------------------------------------------------------
 // Lease-file primitives (src/shard's worker-coordination protocol; see
 // docs/distributed_campaigns.md).  All are local-filesystem operations --

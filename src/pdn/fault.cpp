@@ -94,6 +94,20 @@ std::string FaultSet::describe(const PdnNetwork& network) const {
   return oss.str();
 }
 
+std::size_t stick_off_converter_bank(FaultSet& faults,
+                                     const PdnNetwork& network,
+                                     std::size_t level, std::size_t keep) {
+  std::size_t bank = 0;
+  const auto& converters = network.converters();
+  for (std::size_t i = 0; i < converters.size(); ++i) {
+    if (converters[i].level != level) continue;
+    if (bank++ >= keep) faults.converter_stuck_off(i);
+  }
+  VS_REQUIRE(bank > 0, "no converters at level " + std::to_string(level) +
+                           " (regular topology?)");
+  return bank;
+}
+
 std::size_t IslandReport::floating_node_count() const {
   std::size_t n = 0;
   for (const auto& island : islands) n += island.size();

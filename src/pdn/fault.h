@@ -71,6 +71,14 @@ class FaultSet {
   std::vector<Fault> faults_;
 };
 
+/// Converter-bank fault: every converter phase at `level` sticks off except
+/// the first `keep` (network order).  Returns the bank size, i.e. how many
+/// converters sit at `level`; throws when there are none (a regular
+/// topology, or a level outside the stack).
+std::size_t stick_off_converter_bank(FaultSet& faults,
+                                     const PdnNetwork& network,
+                                     std::size_t level, std::size_t keep);
+
 /// Free grid/package nodes with no conductive path to any fixed potential
 /// (package rails, or an ideal-reference converter output, which is tied to
 /// its nominal level through r_series).  Each island is one connected

@@ -20,6 +20,7 @@
 #include "core/campaign_manifest.h"
 #include "core/contingency.h"
 #include "core/sweeps.h"
+#include "pdn/fault.h"
 #include "pdn/ride_through.h"
 #include "power/workload.h"
 #include "service/request.h"
@@ -93,20 +94,6 @@ std::string response_line(const Response& r) {
   return oss.str();
 }
 
-/// The CLI's transient-fault supervisor policy (tools/vstack_cli.cpp keeps
-/// an identical copy for its interactive commands; docs/fault_model.md
-/// explains the calibration).
-sc::SupervisorConfig service_supervisor_policy() {
-  sc::SupervisorConfig sup;
-  sup.trip_fraction = 0.10;
-  sup.recovery_fraction = 0.08;
-  sup.sense_interval = 5e-9;
-  sup.detection_latency = 20e-9;
-  sup.action_dwell = 60e-9;
-  sup.watchdog_timeout = 300e-9;
-  return sup;
-}
-
 /// Outcome of one execution attempt that ran to a verdict (vs throwing).
 struct RunOutcome {
   bool cancelled = false;   // the deadline/stop token truncated the run
@@ -123,15 +110,6 @@ std::vector<fs::path> sorted_requests(const fs::path& dir) {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream file(path);
-  VS_REQUIRE(static_cast<bool>(file),
-             "cannot open '" + path.string() + "'");
-  std::ostringstream oss;
-  oss << file.rdbuf();
-  return oss.str();
 }
 
 void interruptible_sleep(double seconds, const Deadline& stop) {
@@ -375,7 +353,8 @@ class ServerRun {
 
     RequestSpec spec;
     try {
-      spec = parse_request(read_file(path), id, path.filename().string());
+      spec = parse_request(read_file(path.string()), id,
+                           path.filename().string());
     } catch (const std::exception& e) {
       r.status = "invalid";
       r.detail = e.what();
@@ -472,16 +451,6 @@ class ServerRun {
 
   // -- request execution ----------------------------------------------------
 
-  pdn::StackupConfig resolve_config(const RequestSpec& spec) const {
-    pdn::StackupConfig cfg = ctx_.base;
-    cfg.topology = spec.stacked ? pdn::PdnTopology::VoltageStacked
-                                : pdn::PdnTopology::Regular3d;
-    cfg.layer_count = spec.layers;
-    cfg.grid_nx = cfg.grid_ny = spec.grid;
-    cfg.validate();
-    return cfg;
-  }
-
   core::ExecutionPolicy execution_for(std::size_t jobs,
                                       const Deadline& deadline) const {
     core::ExecutionPolicy policy = opts_.execution;
@@ -509,37 +478,31 @@ class ServerRun {
     return degraded ? admission_.degraded_trials(spec.trials) : spec.trials;
   }
 
-  RunOutcome execute_campaign(const RequestSpec& spec, bool degraded,
-                              std::size_t jobs,
-                              const Deadline& deadline) const {
-    const auto cfg = resolve_config(spec);
-    const auto acts = power::interleaved_layer_activities(cfg.layer_count,
-                                                          spec.imbalance);
-    core::CampaignOptions opt;
-    opt.contingency.trials = effective_trials(spec, degraded);
-    opt.contingency.faults_per_trial = spec.faults_per_trial;
-    opt.contingency.converter_faults_per_trial =
-        cfg.is_voltage_stacked() ? 32 : 0;
-    opt.contingency.seed = spec.seed;
-    opt.ride_through.transient.duration = spec.duration_s;
-    opt.ride_through.supervisor = service_supervisor_policy();
-    opt.fault_time =
+  /// The campaign a request describes, as a shard job plan carries it; the
+  /// in-process and the shard-fleet paths both run this one spec.
+  shard::JobSpec campaign_job(const RequestSpec& spec, bool degraded) const {
+    shard::JobSpec job;
+    job.stacked = spec.stacked;
+    job.layers = spec.layers;
+    job.grid = spec.grid;
+    job.imbalance = spec.imbalance;
+    job.trials = effective_trials(spec, degraded);
+    job.faults_per_trial = spec.faults_per_trial;
+    job.converter_faults_per_trial =
+        shard::default_converter_faults(spec.stacked);
+    job.seed = spec.seed;
+    job.duration_s = spec.duration_s;
+    job.fault_time_s =
         spec.fault_time_s > 0.0 ? spec.fault_time_s : spec.duration_s / 8.0;
     // Per-scenario wall timeouts couple results to machine speed; the
     // request deadline is the service's hang guard, so scenarios run
     // untimed and responses stay bit-reproducible.
-    opt.scenario_timeout_s = 0.0;
-    opt.manifest_path =
-        (root_ / "manifests" / (spec.id + ".jsonl")).string();
-    opt.execution = execution_for(jobs, deadline);
+    job.scenario_timeout_s = 0.0;
+    return job;
+  }
 
-    if (opts_.shard_workers > 0) {
-      return execute_campaign_sharded(spec, opt, cfg, jobs, deadline);
-    }
-
-    const core::CampaignRunner runner(ctx_, cfg);
-    const core::CampaignReport report = runner.run(acts, opt);
-
+  /// The aggregate fields every campaign response carries.
+  static std::string campaign_aggregates(const core::CampaignReport& report) {
     std::ostringstream agg;
     agg << ",\"trials\":" << report.planned
         << ",\"completed\":" << report.scenarios.size()
@@ -550,9 +513,28 @@ class ServerRun {
         << ",\"worst_droop\":" << fmt_double(report.worst_droop)
         << ",\"resumed\":" << report.resumed
         << ",\"evaluated\":" << report.evaluated;
+    return agg.str();
+  }
+
+  RunOutcome execute_campaign(const RequestSpec& spec, bool degraded,
+                              std::size_t jobs,
+                              const Deadline& deadline) const {
+    const shard::JobSpec job = campaign_job(spec, degraded);
+    if (opts_.shard_workers > 0) {
+      return execute_campaign_sharded(spec.id, job, jobs, deadline);
+    }
+
+    shard::CampaignSetup setup = shard::make_campaign(ctx_, job);
+    setup.options.manifest_path =
+        (root_ / "manifests" / (spec.id + ".jsonl")).string();
+    setup.options.execution = execution_for(jobs, deadline);
+    const core::CampaignRunner runner(ctx_, setup.config);
+    const core::CampaignReport report =
+        runner.run(setup.activities, setup.options);
+
     RunOutcome out;
     out.cancelled = report.cancelled;
-    out.aggregates = agg.str();
+    out.aggregates = campaign_aggregates(report);
     out.detail = report.summary();
     return out;
   }
@@ -563,47 +545,22 @@ class ServerRun {
   /// crashes and poison scenarios are isolated from the server process;
   /// quarantined trials surface in the aggregates instead of wedging the
   /// request in a crash loop.
-  RunOutcome execute_campaign_sharded(const RequestSpec& spec,
-                                      const core::CampaignOptions& opt,
-                                      const pdn::StackupConfig& cfg,
+  RunOutcome execute_campaign_sharded(const std::string& id,
+                                      const shard::JobSpec& job,
                                       std::size_t jobs,
                                       const Deadline& deadline) const {
-    shard::JobSpec jspec;
-    jspec.stacked = cfg.is_voltage_stacked();
-    jspec.layers = cfg.layer_count;
-    jspec.grid = cfg.grid_nx;
-    jspec.imbalance = spec.imbalance;
-    jspec.trials = opt.contingency.trials;
-    jspec.faults_per_trial = opt.contingency.faults_per_trial;
-    jspec.converter_faults_per_trial =
-        opt.contingency.converter_faults_per_trial;
-    jspec.seed = opt.contingency.seed;
-    jspec.duration_s = opt.ride_through.transient.duration;
-    jspec.fault_time_s = opt.fault_time;
-    jspec.scenario_timeout_s = opt.scenario_timeout_s;
-    jspec.max_retries = opt.max_retries;
-    jspec.retry_relax = opt.retry_tolerance_relax;
-
     shard::SupervisorOptions sup;
-    sup.job_dir = (root_ / "jobs" / spec.id).string();
+    sup.job_dir = (root_ / "jobs" / id).string();
     sup.shards = opts_.shard_workers;
     sup.worker_command = opts_.worker_command;
     sup.worker_jobs = jobs > 0 ? jobs : 1;
     sup.stop = deadline;
 
     const shard::SupervisorReport result =
-        shard::run_supervised_job(ctx_, jspec, sup);
-    const core::CampaignReport& report = result.merge.report;
-
+        shard::run_supervised_job(ctx_, job, sup);
     std::ostringstream agg;
-    agg << ",\"trials\":" << report.planned
-        << ",\"completed\":" << report.scenarios.size()
-        << ",\"recovered\":" << report.recovered
-        << ",\"degraded_outcomes\":" << report.degraded
-        << ",\"lost\":" << report.lost
-        << ",\"timed_out_scenarios\":" << report.timed_out
-        << ",\"worst_droop\":" << fmt_double(report.worst_droop)
-        << ",\"resumed\":0,\"evaluated\":" << report.evaluated
+    // A merge never resumes, so "resumed" reads 0 here.
+    agg << campaign_aggregates(result.merge.report)
         << ",\"shard_workers\":" << sup.shards
         << ",\"worker_restarts\":" << result.workers_restarted
         << ",\"quarantined\":" << result.merge.quarantined_trials.size();
@@ -620,7 +577,8 @@ class ServerRun {
   RunOutcome execute_contingency(const RequestSpec& spec, bool degraded,
                                  std::size_t jobs,
                                  const Deadline& deadline) const {
-    const auto cfg = resolve_config(spec);
+    const auto cfg =
+        shard::job_stackup(ctx_, spec.stacked, spec.layers, spec.grid);
     const auto acts = power::interleaved_layer_activities(cfg.layer_count,
                                                           spec.imbalance);
     core::ContingencyOptions opt;
@@ -716,14 +674,15 @@ class ServerRun {
 
   RunOutcome execute_ride_through(const RequestSpec& spec,
                                   const Deadline& deadline) const {
-    const auto cfg = resolve_config(spec);
+    const auto cfg =
+        shard::job_stackup(ctx_, spec.stacked, spec.layers, spec.grid);
     const auto acts = power::interleaved_layer_activities(cfg.layer_count,
                                                           spec.imbalance);
     const pdn::PdnModel model(cfg, ctx_.layer_floorplan);
 
     pdn::RideThroughOptions opt;
     opt.transient.duration = spec.duration_s;
-    opt.supervisor = service_supervisor_policy();
+    opt.supervisor = shard::calibrated_supervisor();
     opt.transient.control.deadline = deadline;
     opt.transient.iterative.deadline = deadline;
 
@@ -737,15 +696,8 @@ class ServerRun {
     ev.time = spec.fault_time_s > 0.0 ? spec.fault_time_s
                                       : spec.duration_s / 2.0;
     ev.label = "converter bank stuck-off";
-    std::size_t seen = 0;
-    const auto& converters = model.network().converters();
-    for (std::size_t i = 0; i < converters.size(); ++i) {
-      if (converters[i].level != fault_level) continue;
-      if (seen++ >= spec.keep) ev.faults.converter_stuck_off(i);
-    }
-    VS_REQUIRE(seen > 0, "no converters at level " +
-                             std::to_string(fault_level) +
-                             " (regular topology?)");
+    pdn::stick_off_converter_bank(ev.faults, model.network(), fault_level,
+                                  spec.keep);
     opt.transient.fault_events.push_back(std::move(ev));
 
     const auto result =

@@ -35,16 +35,37 @@ std::size_t JobSpec::chunk_end(std::size_t c) const {
   return end < trials ? end : trials;
 }
 
+std::size_t default_converter_faults(bool stacked) {
+  return stacked ? 32 : 0;
+}
+
+sc::SupervisorConfig calibrated_supervisor() {
+  sc::SupervisorConfig sup;
+  sup.trip_fraction = 0.10;
+  sup.recovery_fraction = 0.08;
+  sup.sense_interval = 5e-9;
+  sup.detection_latency = 20e-9;
+  sup.action_dwell = 60e-9;
+  sup.watchdog_timeout = 300e-9;
+  return sup;
+}
+
+pdn::StackupConfig job_stackup(const core::StudyContext& ctx, bool stacked,
+                               std::size_t layers, std::size_t grid) {
+  pdn::StackupConfig cfg = ctx.base;
+  cfg.topology = stacked ? pdn::PdnTopology::VoltageStacked
+                         : pdn::PdnTopology::Regular3d;
+  cfg.layer_count = layers;
+  cfg.grid_nx = cfg.grid_ny = grid;
+  cfg.validate();
+  return cfg;
+}
+
 CampaignSetup make_campaign(const core::StudyContext& ctx,
                             const JobSpec& spec) {
   spec.validate();
   CampaignSetup setup;
-  setup.config = ctx.base;
-  setup.config.topology = spec.stacked ? pdn::PdnTopology::VoltageStacked
-                                       : pdn::PdnTopology::Regular3d;
-  setup.config.layer_count = spec.layers;
-  setup.config.grid_nx = setup.config.grid_ny = spec.grid;
-  setup.config.validate();
+  setup.config = job_stackup(ctx, spec.stacked, spec.layers, spec.grid);
   setup.activities = power::interleaved_layer_activities(spec.layers,
                                                          spec.imbalance);
 
@@ -55,15 +76,7 @@ CampaignSetup make_campaign(const core::StudyContext& ctx,
       spec.converter_faults_per_trial;
   opt.contingency.seed = spec.seed;
   opt.ride_through.transient.duration = spec.duration_s;
-  // Same calibrated policy as `vstack_cli campaign` / the service (see
-  // docs/fault_model.md): byte-identical merge vs the serial command
-  // depends on every one of these matching.
-  opt.ride_through.supervisor.trip_fraction = 0.10;
-  opt.ride_through.supervisor.recovery_fraction = 0.08;
-  opt.ride_through.supervisor.sense_interval = 5e-9;
-  opt.ride_through.supervisor.detection_latency = 20e-9;
-  opt.ride_through.supervisor.action_dwell = 60e-9;
-  opt.ride_through.supervisor.watchdog_timeout = 300e-9;
+  opt.ride_through.supervisor = calibrated_supervisor();
   opt.fault_time = spec.fault_time_s;
   opt.scenario_timeout_s = spec.scenario_timeout_s;
   opt.max_retries = spec.max_retries;

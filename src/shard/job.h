@@ -31,17 +31,21 @@
 
 namespace vstack::shard {
 
+// JobSpec is the one flat campaign shape: `vstack_cli campaign` (in-process,
+// --compare and --shards), serve campaign requests (in-process and
+// --shard-workers) and the shard workers all build their CampaignOptions
+// from it through make_campaign.
 struct JobSpec {
-  // Network shape (mirrors the service's resolve_config).
+  // Network shape (see job_stackup).
   bool stacked = true;
   std::size_t layers = 8;
   std::size_t grid = 16;
   double imbalance = 0.8;
 
-  // Monte Carlo shape (mirrors `vstack_cli campaign`).
+  // Monte Carlo shape.
   std::size_t trials = 8;
   std::size_t faults_per_trial = 2;
-  std::size_t converter_faults_per_trial = 32;  // stacked ? 32 : 0 upstream
+  std::size_t converter_faults_per_trial = 32;  // see default_converter_faults
   std::uint64_t seed = 42;
 
   // Transient replay knobs.
@@ -67,10 +71,26 @@ struct JobSpec {
   std::size_t chunk_of(std::size_t trial) const { return trial / chunk; }
 };
 
-/// Everything CampaignRunner needs, reconstructed from the spec exactly the
-/// way `vstack_cli campaign` builds it -- same supervisor policy, same
-/// defaults -- so a shard fleet's merged manifest is byte-identical to the
-/// serial command's.
+/// Converter phases each trial sticks off on top of its conductor faults,
+/// unless the caller says otherwise: 32 on a stacked PDN, none on a regular
+/// one (it has no converters).
+std::size_t default_converter_faults(bool stacked);
+
+/// The calibrated supervisor policy of every transient fault front end
+/// (campaigns, shard workers, `vstack_cli ride-through`, serve ride-through
+/// requests): the recovery band is set so phase rebalance plus frequency
+/// retarget can re-enter it on a partially lost converter bank (see
+/// docs/fault_model.md).
+sc::SupervisorConfig calibrated_supervisor();
+
+/// The stack a flat shape describes: ctx.base with the topology, the layer
+/// count and the square grid replaced (validated).
+pdn::StackupConfig job_stackup(const core::StudyContext& ctx, bool stacked,
+                               std::size_t layers, std::size_t grid);
+
+/// Everything CampaignRunner needs, reconstructed from the spec.  Every
+/// front end runs this one recipe, so a shard fleet's merged manifest is
+/// byte-identical to the in-process command's.
 struct CampaignSetup {
   pdn::StackupConfig config;
   std::vector<double> activities;

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
+#include "common/error.h"
 #include "pdn/solver.h"
 
 namespace vstack::pdn {
@@ -104,6 +106,38 @@ TEST(FaultSetTest, DescribeNamesEveryFault) {
   const std::string text = faults.describe(model.network());
   EXPECT_NE(text.find("open"), std::string::npos);
   EXPECT_NE(text.find("conv-off"), std::string::npos);
+}
+
+TEST(FaultSetTest, ConverterBankKeepsTheFirstPhasesAndRejectsEmptyLevels) {
+  const PdnModel model(small_stacked(4), paper_fp());
+  const PdnNetwork& net = model.network();
+  std::vector<std::size_t> bank;  // level-2 converters, network order
+  for (std::size_t i = 0; i < net.converters().size(); ++i) {
+    if (net.converters()[i].level == 2) bank.push_back(i);
+  }
+  ASSERT_GT(bank.size(), 3u);
+
+  FaultSet faults;
+  EXPECT_EQ(stick_off_converter_bank(faults, net, 2, 3), bank.size());
+  ASSERT_EQ(faults.size(), bank.size() - 3);
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    EXPECT_EQ(faults.faults()[k].kind, FaultKind::ConverterStuckOff);
+    EXPECT_EQ(faults.faults()[k].index, bank[k + 3]);
+  }
+
+  // Keeping the whole bank sticks nothing off but still reports its size.
+  FaultSet none;
+  EXPECT_EQ(stick_off_converter_bank(none, net, 2, bank.size()), bank.size());
+  EXPECT_TRUE(none.empty());
+
+  // A regular stack has no converter banks; a stacked one has none outside
+  // its intermediate rails.
+  const PdnModel regular(small_regular(4), paper_fp());
+  FaultSet rejected;
+  EXPECT_THROW(stick_off_converter_bank(rejected, regular.network(), 2, 0),
+               Error);
+  EXPECT_THROW(stick_off_converter_bank(rejected, net, 9, 0), Error);
+  EXPECT_TRUE(rejected.empty());
 }
 
 TEST(FaultSetTest, CacheInvalidatedAcrossFaultApplication) {

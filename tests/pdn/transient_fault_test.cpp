@@ -57,16 +57,7 @@ std::vector<double> imbalanced(std::size_t layers) {
 FaultSet kill_level_converters(const PdnModel& model, std::size_t level,
                                std::size_t keep) {
   FaultSet fs;
-  std::size_t kept = 0;
-  const auto& convs = model.network().converters();
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    if (convs[i].level != level) continue;
-    if (kept < keep) {
-      ++kept;
-    } else {
-      fs.converter_stuck_off(i);
-    }
-  }
+  stick_off_converter_bank(fs, model.network(), level, keep);
   return fs;
 }
 

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign_manifest.h"
 #include "core/study.h"
 #include "service/request.h"
+#include "shard/job.h"
 
 namespace fs = std::filesystem;
 
@@ -90,6 +92,43 @@ TEST_F(ServerTest, RunsARequestToDone) {
   EXPECT_TRUE(has_field(lines[0], "\"id\":\"job1\"")) << lines[0];
   EXPECT_TRUE(has_field(lines[0], "\"status\":\"ok\"")) << lines[0];
   EXPECT_TRUE(has_field(lines[0], "\"survivable\":")) << lines[0];
+}
+
+TEST_F(ServerTest, CampaignManifestHashIsTheEquivalentJobSpecHash) {
+  // serve, `vstack_cli campaign` and the shard workers run one campaign
+  // recipe: a request's manifest identity is the config hash of the
+  // JobSpec with the same shape, with the service's fixed choices spelled
+  // out (32 converter faults on stacks, fault at 1/8 of the horizon,
+  // untimed scenarios).
+  for (const bool stacked : {true, false}) {
+    const std::string id = stacked ? "stacked" : "regular";
+    submit(id, "kind = campaign\ntopology = " + id +
+                   "\nlayers = 2\ngrid = 4\ntrials = 1\nfaults = 1\n"
+                   "seed = 11\nduration_s = 80e-9\n");
+    ServerOptions o = fast_options();
+    o.max_requests = 1;
+    ASSERT_EQ(SpoolServer(ctx(), o).run().ok, 1u);
+
+    std::ifstream in(root_ / "manifests" / (id + ".jsonl"));
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    core::CampaignManifestHeader header;
+    ASSERT_TRUE(core::parse_campaign_manifest_header(line, header)) << line;
+
+    shard::JobSpec job;
+    job.stacked = stacked;
+    job.layers = 2;
+    job.grid = 4;
+    job.imbalance = 0.8;
+    job.trials = 1;
+    job.faults_per_trial = 1;
+    job.converter_faults_per_trial = stacked ? 32 : 0;
+    job.seed = 11;
+    job.duration_s = 80e-9;
+    job.fault_time_s = job.duration_s / 8.0;
+    job.scenario_timeout_s = 0.0;
+    EXPECT_EQ(header.config_hash, shard::job_config_hash(ctx(), job)) << id;
+  }
 }
 
 TEST_F(ServerTest, InvalidRequestAnswersInvalid) {

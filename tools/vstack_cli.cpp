@@ -24,13 +24,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 #include "chaos/explorer.h"
 #include "circuit/spice_parser.h"
 #include "common/cli.h"
+#include "common/durable_file.h"
 #include "common/error.h"
 #include "common/failpoint.h"
 #include "common/shutdown.h"
@@ -60,14 +61,6 @@
 namespace {
 
 using namespace vstack;
-
-std::string read_file(const std::string& path) {
-  std::ifstream file(path);
-  VS_REQUIRE(static_cast<bool>(file), "cannot open '" + path + "'");
-  std::ostringstream oss;
-  oss << file.rdbuf();
-  return oss.str();
-}
 
 /// Scenario scheduling from --jobs: N worker threads, or auto (VSTACK_JOBS
 /// env override, else hardware concurrency) when the flag is absent.
@@ -203,6 +196,63 @@ int cmd_thermal(const core::StudyContext& ctx, const CliArgs& args) {
   return 0;
 }
 
+// One table printer per paper figure, shared by `sweep` and `report`.
+
+void print_fig5a(const std::vector<core::Fig5aRow>& rows) {
+  TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
+  for (const auto& r : rows) {
+    t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
+               TextTable::num(r.reg_sparse, 3), TextTable::num(r.reg_few, 3),
+               TextTable::num(r.vs_few, 3)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig5b(const std::vector<core::Fig5bRow>& rows) {
+  TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
+  for (const auto& r : rows) {
+    t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
+               TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
+               TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig6(const core::Fig6Result& result) {
+  TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
+  for (const auto& row : result.rows) {
+    std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
+    for (const auto& v : row.vs_noise) {
+      cells.push_back(v ? TextTable::percent(*v, 2) : "-");
+    }
+    t.add_row(std::move(cells));
+  }
+  t.print(std::cout);
+}
+
+void print_fig7(const std::vector<power::ApplicationPowerSummary>& apps) {
+  TextTable t({"Application", "Median (W)", "Max Imbalance"});
+  for (const auto& app : apps) {
+    t.add_row({app.name, TextTable::num(app.power.median, 3),
+               TextTable::percent(app.max_imbalance, 1)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig8(const core::Fig8Result& result) {
+  TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core",
+               "Reg+SC"});
+  for (const auto& row : result.rows) {
+    std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
+    for (const auto& v : row.vs_efficiency) {
+      cells.push_back(v ? TextTable::percent(*v, 1) : "-");
+    }
+    cells.push_back(TextTable::percent(row.regular_sc, 1));
+    t.add_row(std::move(cells));
+  }
+  t.print(std::cout);
+}
+
 int cmd_sweep(const core::StudyContext& ctx, const CliArgs& args) {
   const std::string figure = args.get_string("figure", "");
   VS_REQUIRE(!figure.empty(), "sweep requires --figure=5a|5b|6|7|8");
@@ -210,52 +260,15 @@ int cmd_sweep(const core::StudyContext& ctx, const CliArgs& args) {
   sweep_options.execution = resolve_execution(args);
   const core::SweepRunner sweeps(ctx, sweep_options);
   if (figure == "5a") {
-    TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
-    for (const auto& r : sweeps.fig5a()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
-                 TextTable::num(r.reg_sparse, 3),
-                 TextTable::num(r.reg_few, 3), TextTable::num(r.vs_few, 3)});
-    }
-    t.print(std::cout);
+    print_fig5a(sweeps.fig5a());
   } else if (figure == "5b") {
-    TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
-    for (const auto& r : sweeps.fig5b()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
-                 TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
-                 TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
-    }
-    t.print(std::cout);
+    print_fig5b(sweeps.fig5b());
   } else if (figure == "6") {
-    const auto result = sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0});
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_noise) {
-        cells.push_back(v ? TextTable::percent(*v, 2) : "-");
-      }
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig6(sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0}));
   } else if (figure == "7") {
-    TextTable t({"Application", "Median (W)", "Max Imbalance"});
-    for (const auto& app : sweeps.fig7()) {
-      t.add_row({app.name, TextTable::num(app.power.median, 3),
-                 TextTable::percent(app.max_imbalance, 1)});
-    }
-    t.print(std::cout);
+    print_fig7(sweeps.fig7());
   } else if (figure == "8") {
-    const auto result = sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9});
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core",
-                 "Reg+SC"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_efficiency) {
-        cells.push_back(v ? TextTable::percent(*v, 1) : "-");
-      }
-      cells.push_back(TextTable::percent(row.regular_sc, 1));
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig8(sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9}));
   } else {
     VS_FAIL("unknown figure '" + figure + "' (5a|5b|6|7|8)");
   }
@@ -269,39 +282,15 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   const core::SweepRunner sweeps(ctx, sweep_options);
   std::cout << "# vstack reproduction report\n";
   std::cout << "\n## Fig 5a -- TSV EM lifetime (normalized to 2-layer V-S)\n";
-  {
-    TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
-    for (const auto& r : sweeps.fig5a()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
-                 TextTable::num(r.reg_sparse, 3),
-                 TextTable::num(r.reg_few, 3), TextTable::num(r.vs_few, 3)});
-    }
-    t.print(std::cout);
-  }
+  print_fig5a(sweeps.fig5a());
   std::cout << "\n## Fig 5b -- C4 EM lifetime\n";
-  {
-    TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
-    for (const auto& r : sweeps.fig5b()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
-                 TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
-                 TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
-    }
-    t.print(std::cout);
-  }
+  print_fig5b(sweeps.fig5b());
   std::cout << "\n## Fig 6 -- voltage noise vs imbalance (8 layers)\n";
   {
     std::vector<double> imbalances;
     for (int x = 0; x <= 100; x += 10) imbalances.push_back(x / 100.0);
     const auto result = sweeps.fig6(imbalances);
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_noise) {
-        cells.push_back(v ? TextTable::percent(*v, 2) : "-");
-      }
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig6(result);
     std::cout << "regular refs: Dense " << TextTable::percent(result.reg_dense, 2)
               << ", Sparse " << TextTable::percent(result.reg_sparse, 2)
               << ", Few " << TextTable::percent(result.reg_few, 2) << "\n";
@@ -309,12 +298,7 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   std::cout << "\n## Fig 7 -- PARSEC workload imbalance\n";
   {
     const auto campaign = sweeps.fig7();
-    TextTable t({"Application", "Median (W)", "Max Imbalance"});
-    for (const auto& app : campaign) {
-      t.add_row({app.name, TextTable::num(app.power.median, 3),
-                 TextTable::percent(app.max_imbalance, 1)});
-    }
-    t.print(std::cout);
+    print_fig7(campaign);
     std::cout << "mean max-imbalance: "
               << TextTable::percent(power::mean_max_imbalance(campaign), 1)
               << " (paper: 65%)\n";
@@ -323,18 +307,7 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   {
     std::vector<double> imbalances;
     for (int x = 10; x <= 100; x += 10) imbalances.push_back(x / 100.0);
-    const auto result = sweeps.fig8(imbalances);
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core",
-                 "Reg+SC"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_efficiency) {
-        cells.push_back(v ? TextTable::percent(*v, 1) : "-");
-      }
-      cells.push_back(TextTable::percent(row.regular_sc, 1));
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig8(sweeps.fig8(imbalances));
   }
   std::cout << "\nSee EXPERIMENTS.md for paper-vs-measured commentary.\n";
   return 0;
@@ -350,21 +323,6 @@ void print_trail(const sim::TransientReport& report) {
   if (report.events_dropped > 0) {
     std::cout << "  (+" << report.events_dropped << " more events dropped)\n";
   }
-}
-
-/// Shared supervisor policy for the CLI's transient fault commands; the
-/// recovery band is calibrated so phase rebalance + frequency retarget can
-/// actually re-enter it on a partially-lost converter bank (see
-/// docs/fault_model.md).
-sc::SupervisorConfig cli_supervisor_policy() {
-  sc::SupervisorConfig sup;
-  sup.trip_fraction = 0.10;
-  sup.recovery_fraction = 0.08;
-  sup.sense_interval = 5e-9;
-  sup.detection_latency = 20e-9;
-  sup.action_dwell = 60e-9;
-  sup.watchdog_timeout = 1e-6;
-  return sup;
 }
 
 // Imported-benchmark routes; defined with the other pgio commands below.
@@ -385,28 +343,24 @@ int cmd_ride_through(const core::StudyContext& ctx, const CliArgs& args) {
 
   pdn::RideThroughOptions opt;
   opt.transient.duration = args.get_double("duration", 4e-6);
-  opt.supervisor = cli_supervisor_policy();
+  opt.supervisor = shard::calibrated_supervisor();
+  // The demo watches 2 us past the fault, so its watchdog keeps the stock
+  // 1 us; campaign scenarios end 350 ns after theirs and need the shorter
+  // calibrated watchdog to reach a shutdown verdict inside the horizon.
+  opt.supervisor.watchdog_timeout = 1e-6;
 
   // Demo scenario: most of one intermediate rail's converter bank sticks
   // off mid-run, leaving `keep` surviving phases.
   const std::size_t fault_level = args.get_size(
       "fault-level", std::min<std::size_t>(3, cfg.layer_count - 1));
-  const std::size_t keep = args.get_size("keep", 32);
   VS_REQUIRE(fault_level >= 1 && fault_level < cfg.layer_count,
              "--fault-level must name an intermediate rail (1..layers-1)");
   pdn::TimedFaultEvent ev;
   ev.time = args.get_double("fault-time", 2e-6);
   ev.label = "converter bank stuck-off";
-  std::size_t seen = 0;
-  const auto& converters = model.network().converters();
-  for (std::size_t i = 0; i < converters.size(); ++i) {
-    if (converters[i].level != fault_level) continue;
-    if (seen++ >= keep) ev.faults.converter_stuck_off(i);
-  }
-  VS_REQUIRE(seen > 0, "no converters at level " +
-                           std::to_string(fault_level) +
-                           " (regular topology? try --topology=stacked)");
-  std::cout << "fault: " << ev.faults.size() << " of " << seen
+  const std::size_t bank = pdn::stick_off_converter_bank(
+      ev.faults, model.network(), fault_level, args.get_size("keep", 32));
+  std::cout << "fault: " << ev.faults.size() << " of " << bank
             << " converters at level " << fault_level << " stuck off at "
             << TextTable::num(ev.time * 1e9, 1) << " ns\n";
   opt.transient.fault_events.push_back(std::move(ev));
@@ -460,25 +414,26 @@ std::string self_exe_path() {
 }
 
 int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
+  // The flags fill the flat campaign shape that serve and the shard workers
+  // run too; every path below builds its campaign from this one spec.
   const auto cfg = resolve_config(ctx, args);
-  const double imbalance = args.get_double("imbalance", 0.8);
-  const auto acts =
-      power::interleaved_layer_activities(cfg.layer_count, imbalance);
-
-  core::CampaignOptions opt;
-  opt.contingency.trials = args.get_size("trials", 8);
-  opt.contingency.faults_per_trial = args.get_size("faults", 2);
-  opt.contingency.converter_faults_per_trial =
-      args.get_size("conv-faults", cfg.is_voltage_stacked() ? 32 : 0);
-  opt.contingency.seed = args.get_size("seed", opt.contingency.seed);
-  opt.ride_through.transient.duration = args.get_double("duration", 400e-9);
-  opt.ride_through.supervisor = cli_supervisor_policy();
-  opt.ride_through.supervisor.watchdog_timeout = 300e-9;
-  opt.fault_time = args.get_double("fault-time", 50e-9);
-  opt.scenario_timeout_s = args.get_double("timeout", opt.scenario_timeout_s);
-  opt.max_retries = args.get_size("retries", opt.max_retries);
-  opt.manifest_path = args.get_string("manifest", "");
-  opt.execution = resolve_execution(args);
+  shard::JobSpec spec;
+  spec.stacked = cfg.is_voltage_stacked();
+  spec.layers = cfg.layer_count;
+  spec.grid = cfg.grid_nx;
+  spec.imbalance = args.get_double("imbalance", spec.imbalance);
+  spec.trials = args.get_size("trials", spec.trials);
+  spec.faults_per_trial = args.get_size("faults", spec.faults_per_trial);
+  spec.converter_faults_per_trial = args.get_size(
+      "conv-faults", shard::default_converter_faults(spec.stacked));
+  spec.seed = args.get_size("seed", spec.seed);
+  spec.duration_s = args.get_double("duration", spec.duration_s);
+  spec.fault_time_s = args.get_double("fault-time", spec.fault_time_s);
+  // Interactive runs keep the runner's per-scenario hang guard unless
+  // --timeout=0 asks for bit-reproducible scenarios.
+  spec.scenario_timeout_s = args.get_double(
+      "timeout", core::CampaignOptions().scenario_timeout_s);
+  spec.max_retries = args.get_size("retries", spec.max_retries);
 
   if (args.has("shards")) {
     // Multi-process fleet: supervisor + N worker processes against a
@@ -491,21 +446,6 @@ int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
                "--converters");
     VS_REQUIRE(!args.get_bool("compare"),
                "--shards and --compare are mutually exclusive");
-    shard::JobSpec spec;
-    spec.stacked = cfg.topology == pdn::PdnTopology::VoltageStacked;
-    spec.layers = cfg.layer_count;
-    spec.grid = cfg.grid_nx;
-    spec.imbalance = imbalance;
-    spec.trials = opt.contingency.trials;
-    spec.faults_per_trial = opt.contingency.faults_per_trial;
-    spec.converter_faults_per_trial =
-        opt.contingency.converter_faults_per_trial;
-    spec.seed = opt.contingency.seed;
-    spec.duration_s = opt.ride_through.transient.duration;
-    spec.fault_time_s = opt.fault_time;
-    spec.scenario_timeout_s = opt.scenario_timeout_s;
-    spec.max_retries = opt.max_retries;
-    spec.retry_relax = opt.retry_tolerance_relax;
     spec.chunk = args.get_size("chunk", spec.chunk);
     spec.max_attempts = args.get_size("max-attempts", spec.max_attempts);
     spec.lease_expiry_s = args.get_double("lease-expiry", spec.lease_expiry_s);
@@ -532,13 +472,20 @@ int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
     return result.merge.clean() ? 0 : 2;
   }
 
+  // The in-process paths run on `cfg`, so --config / --converters apply
+  // here; the shard plan above carries only the flat shape.
+  shard::CampaignSetup setup = shard::make_campaign(ctx, spec);
+  core::CampaignOptions& opt = setup.options;
+  opt.manifest_path = args.get_string("manifest", "");
+  opt.execution = resolve_execution(args);
+
   if (args.get_bool("compare")) {
     pdn::StackupConfig stacked = cfg;
     stacked.topology = pdn::PdnTopology::VoltageStacked;
     pdn::StackupConfig regular = cfg;
     regular.topology = pdn::PdnTopology::Regular3d;
     const auto table = core::compare_survivability(ctx, stacked, regular,
-                                                   acts, opt);
+                                                   setup.activities, opt);
     std::cout << "stacked vs regular-3D transient survivability ("
               << opt.contingency.trials << " trials, seed "
               << opt.contingency.seed << "):\n"
@@ -547,7 +494,7 @@ int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
   }
 
   const core::CampaignRunner runner(ctx, cfg);
-  const auto report = runner.run(acts, opt);
+  const auto report = runner.run(setup.activities, opt);
 
   TextTable t({"Scenario", "Outcome", "Detected", "Worst", "Final",
                "Attempts", "Source"});
@@ -707,7 +654,7 @@ int cmd_worker(const core::StudyContext& ctx, const CliArgs& args) {
   return 0;  // main() maps a pending shutdown signal onto exit code 4
 }
 
-int cmd_chaos_explore(const CliArgs& args) {
+int cmd_chaos_explore(const core::StudyContext&, const CliArgs& args) {
   chaos::ExplorerOptions opt;
   opt.work_dir = args.get_string("work-dir", "");
   VS_REQUIRE(!opt.work_dir.empty(), "chaos-explore requires --work-dir=DIR");
@@ -758,7 +705,7 @@ int cmd_merge(const core::StudyContext& ctx, const CliArgs& args) {
   return merge.clean() ? 0 : 2;
 }
 
-int cmd_spice(const CliArgs& args) {
+int cmd_spice(const core::StudyContext&, const CliArgs& args) {
   VS_REQUIRE(args.positionals().size() >= 2,
              "usage: vstack_cli spice FILE");
   const auto circuit = circuit::parse_spice(
@@ -802,7 +749,7 @@ pgio::GridSolveOptions pgio_solve_options(const CliArgs& args) {
   return solve;
 }
 
-int cmd_import(const CliArgs& args) {
+int cmd_import(const core::StudyContext&, const CliArgs& args) {
   VS_REQUIRE(args.positionals().size() >= 2,
              "usage: vstack_cli import FILE [--solve] [--dump=OUT]");
   const std::string path = args.positionals()[1];
@@ -879,7 +826,7 @@ int cmd_import(const CliArgs& args) {
   return code;
 }
 
-int cmd_validate(const CliArgs& args) {
+int cmd_validate(const core::StudyContext&, const CliArgs& args) {
   VS_REQUIRE(args.positionals().size() >= 2,
              "usage: vstack_cli validate FILE [--solution=F] [--tol=V]");
   const std::string path = args.positionals()[1];
@@ -1015,7 +962,7 @@ int cmd_ride_through_netlist(const CliArgs& args) {
   return r.recovered ? 0 : 3;
 }
 
-int cmd_version() {
+int cmd_version(const core::StudyContext&, const CliArgs&) {
   const auto& info = telemetry::build_info();
   std::string backends;
   for (const la::Backend* b : la::all_backends()) {
@@ -1035,53 +982,92 @@ int cmd_version() {
   return 0;
 }
 
+int cmd_config(const core::StudyContext& ctx, const CliArgs& args) {
+  std::cout << pdn::write_stackup_config(resolve_config(ctx, args));
+  return 0;
+}
+
+/// One row per subcommand.  Cancellable commands (the long-running multi-
+/// scenario ones) install the SIGINT/SIGTERM handlers: the handler cancels
+/// shutdown_token(), the runners stop at the next chunk boundary with the
+/// committed prefix (and manifest) intact, and the command exits with code
+/// 4.  Short analyses keep the default die-on-signal behavior.
+struct Subcommand {
+  const char* name;
+  int (*run)(const core::StudyContext&, const CliArgs&);
+  bool cancellable;
+  const char* usage;
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"noise", cmd_noise, false,
+     "  noise       voltage-noise analysis   (--layers --topology "
+     "--imbalance --converters --config --map --grid)\n"},
+    {"em", cmd_em, false,
+     "  em          EM lifetime analysis     (--layers --topology --config)\n"},
+    {"efficiency", cmd_efficiency, false,
+     "  efficiency  system power efficiency  (--layers --converters "
+     "--imbalance)\n"},
+    {"thermal", cmd_thermal, false,
+     "  thermal     stack temperature        (--layers --sink)\n"},
+    {"contingency", cmd_contingency, true,
+     "  contingency fault-injection campaign (--top --exhaustive --mc "
+     "--trials --faults --seed --budget --layers --grid --config --jobs)\n"
+     "  contingency --netlist=FILE  run the fault campaign on an imported "
+     "benchmark grid (--top --exhaustive --mc --trials --faults --leakage "
+     "--seed --budget --jobs)\n"},
+    {"ride-through", cmd_ride_through, false,
+     "  ride-through live fault ride-through  (--fault-level --fault-time "
+     "--keep --duration --imbalance --layers --grid --verbose)\n"
+     "  ride-through --netlist=FILE  load-step transient on an imported "
+     "grid (--step-scale --duration --dt)\n"},
+    {"campaign", cmd_campaign, true,
+     "  campaign    transient N-k campaign   (--trials --faults "
+     "--conv-faults --seed --manifest --compare --timeout --retries "
+     "--duration --fault-time --verbose --jobs); add --shards=N "
+     "--job-dir=DIR for a crash-tolerant multi-process fleet (--chunk "
+     "--max-attempts --lease-expiry --heartbeat --max-restarts); see "
+     "docs/distributed_campaigns.md\n"},
+    {"sweep", cmd_sweep, true,
+     "  sweep       paper figure sweeps      (--figure=5a|5b|6|7|8 --jobs)\n"},
+    {"report", cmd_report, true,
+     "  report      one-command reproduction of every figure (--jobs)\n"},
+    {"serve", cmd_serve, true,
+     "  serve       resilient campaign service (--spool=DIR --poll "
+     "--health-interval --max-requests --idle-exit --deadline --retries "
+     "--backoff --queue --degrade-divisor --jobs --shard-workers=N); see "
+     "docs/service_mode.md\n"},
+    {"worker", cmd_worker, true,
+     "  worker      shard worker process     (--job-dir --worker-id "
+     "--jobs); normally spawned by campaign --shards or serve\n"},
+    {"merge", cmd_merge, true,
+     "  merge       fold shard manifests     (--job-dir --out); exit 2 "
+     "when trials are quarantined or missing\n"},
+    {"chaos-explore", cmd_chaos_explore, false,
+     "  chaos-explore  exhaustive crash-schedule explorer (--work-dir=DIR "
+     "--workload=shard|serve|both --mode=crash|err|both --max-hits "
+     "--max-schedules --errnos=EIO,ENOSPC --min-schedules --cli=PATH); "
+     "see docs/chaos_testing.md\n"},
+    {"spice", cmd_spice, false,
+     "  spice FILE  run a SPICE-subset netlist (--verbose)\n"},
+    {"import", cmd_import, false,
+     "  import FILE ingest an IBM-power-grid benchmark netlist (--solve "
+     "--dump=OUT --rel-tol --verbose); see docs/benchmark_ingestion.md\n"},
+    {"validate", cmd_validate, false,
+     "  validate FILE  cross-check a benchmark netlist against its golden "
+     "voltages (--solution=F --tol=V --rel-tol); runs every linear-algebra "
+     "backend; exit 3 over tolerance, 2 on solver failure\n"},
+    {"config", cmd_config, false,
+     "  config      echo the resolved configuration (--config ...)\n"},
+    {"version", cmd_version, false,
+     "  version     print build provenance (git describe, build type, "
+     "sanitizer, telemetry)\n"},
+};
+
 void usage() {
+  std::cout << "usage: vstack_cli <command> [options]\n";
+  for (const Subcommand& sub : kSubcommands) std::cout << sub.usage;
   std::cout <<
-      "usage: vstack_cli <command> [options]\n"
-      "  noise       voltage-noise analysis   (--layers --topology "
-      "--imbalance --converters --config --map --grid)\n"
-      "  em          EM lifetime analysis     (--layers --topology --config)\n"
-      "  efficiency  system power efficiency  (--layers --converters "
-      "--imbalance)\n"
-      "  thermal     stack temperature        (--layers --sink)\n"
-      "  contingency fault-injection campaign (--top --exhaustive --mc "
-      "--trials --faults --seed --budget --layers --grid --config --jobs)\n"
-      "  ride-through live fault ride-through  (--fault-level --fault-time "
-      "--keep --duration --imbalance --layers --grid --verbose)\n"
-      "  campaign    transient N-k campaign   (--trials --faults "
-      "--conv-faults --seed --manifest --compare --timeout --retries "
-      "--duration --fault-time --verbose --jobs); add --shards=N "
-      "--job-dir=DIR for a crash-tolerant multi-process fleet (--chunk "
-      "--max-attempts --lease-expiry --heartbeat --max-restarts); see "
-      "docs/distributed_campaigns.md\n"
-      "  sweep       paper figure sweeps      (--figure=5a|5b|6|7|8 --jobs)\n"
-      "  report      one-command reproduction of every figure (--jobs)\n"
-      "  serve       resilient campaign service (--spool=DIR --poll "
-      "--health-interval --max-requests --idle-exit --deadline --retries "
-      "--backoff --queue --degrade-divisor --jobs --shard-workers=N); see "
-      "docs/service_mode.md\n"
-      "  worker      shard worker process     (--job-dir --worker-id "
-      "--jobs); normally spawned by campaign --shards or serve\n"
-      "  merge       fold shard manifests     (--job-dir --out); exit 2 "
-      "when trials are quarantined or missing\n"
-      "  chaos-explore  exhaustive crash-schedule explorer (--work-dir=DIR "
-      "--workload=shard|serve|both --mode=crash|err|both --max-hits "
-      "--max-schedules --errnos=EIO,ENOSPC --min-schedules --cli=PATH); "
-      "see docs/chaos_testing.md\n"
-      "  spice FILE  run a SPICE-subset netlist (--verbose)\n"
-      "  import FILE ingest an IBM-power-grid benchmark netlist (--solve "
-      "--dump=OUT --rel-tol --verbose); see docs/benchmark_ingestion.md\n"
-      "  validate FILE  cross-check a benchmark netlist against its golden "
-      "voltages (--solution=F --tol=V --rel-tol); runs every linear-algebra "
-      "backend; exit 3 over tolerance, 2 on solver failure\n"
-      "  contingency --netlist=FILE  run the fault campaign on an imported "
-      "benchmark grid (--top --exhaustive --mc --trials --faults --leakage "
-      "--seed --budget --jobs)\n"
-      "  ride-through --netlist=FILE  load-step transient on an imported "
-      "grid (--step-scale --duration --dt)\n"
-      "  config      echo the resolved configuration (--config ...)\n"
-      "  version     print build provenance (git describe, build type, "
-      "sanitizer, telemetry)\n"
       "exit codes: 0 ok; 1 usage error; 2 truncated/incomplete result; "
       "3 Lost/Infeasible outcome; 4 interrupted by SIGINT/SIGTERM (partial "
       "results committed)\n"
@@ -1142,45 +1128,21 @@ int main(int argc, char** argv) {
       setenv("VSTACK_LA_BACKEND", backend.c_str(), 1);
     }
     const auto ctx = core::StudyContext::paper_defaults();
-    const std::string cmd = args.subcommand();
-    if (cmd == "version" || args.get_bool("version")) return cmd_version();
-    // Span recording costs a little per scope, so the tracer only runs when
-    // a trace sink was requested; counters are always on.
-    if (args.has("trace")) telemetry::set_tracing_enabled(true);
-    // Long-running multi-scenario commands get graceful SIGINT/SIGTERM:
-    // the handler cancels shutdown_token(), the runners stop at the next
-    // chunk boundary with the committed prefix (and manifest) intact, and
-    // the command exits with code 4.  Short analyses keep the default
-    // die-on-signal behavior.
-    const bool cancellable = cmd == "campaign" || cmd == "contingency" ||
-                             cmd == "sweep" || cmd == "report" ||
-                             cmd == "serve" || cmd == "worker" ||
-                             cmd == "merge";
-    if (cancellable) install_shutdown_handlers();
-    int code = 1;
-    if (cmd == "noise") code = cmd_noise(ctx, args);
-    else if (cmd == "contingency") code = cmd_contingency(ctx, args);
-    else if (cmd == "ride-through") code = cmd_ride_through(ctx, args);
-    else if (cmd == "campaign") code = cmd_campaign(ctx, args);
-    else if (cmd == "em") code = cmd_em(ctx, args);
-    else if (cmd == "efficiency") code = cmd_efficiency(ctx, args);
-    else if (cmd == "thermal") code = cmd_thermal(ctx, args);
-    else if (cmd == "sweep") code = cmd_sweep(ctx, args);
-    else if (cmd == "report") code = cmd_report(ctx, args);
-    else if (cmd == "serve") code = cmd_serve(ctx, args);
-    else if (cmd == "worker") code = cmd_worker(ctx, args);
-    else if (cmd == "merge") code = cmd_merge(ctx, args);
-    else if (cmd == "chaos-explore") code = cmd_chaos_explore(args);
-    else if (cmd == "spice") code = cmd_spice(args);
-    else if (cmd == "import") code = cmd_import(args);
-    else if (cmd == "validate") code = cmd_validate(args);
-    else if (cmd == "config") {
-      std::cout << pdn::write_stackup_config(resolve_config(ctx, args));
-      code = 0;
-    } else {
+    // --version on any command line runs the version subcommand.
+    const std::string cmd =
+        args.get_bool("version") ? "version" : args.subcommand();
+    const auto sub = std::find_if(
+        std::begin(kSubcommands), std::end(kSubcommands),
+        [&](const Subcommand& row) { return cmd == row.name; });
+    if (sub == std::end(kSubcommands)) {
       usage();
       return cmd.empty() ? 0 : 1;
     }
+    // Span recording costs a little per scope, so the tracer only runs when
+    // a trace sink was requested; counters are always on.
+    if (args.has("trace")) telemetry::set_tracing_enabled(true);
+    if (sub->cancellable) install_shutdown_handlers();
+    const int code = sub->run(ctx, args);
     write_telemetry_sinks(args);
     if (shutdown_requested()) {
       std::cerr << "interrupted by signal " << shutdown_signal()
