@@ -40,11 +40,15 @@ void MnaSystem::stamp_conductance(la::DenseMatrix& m, NodeId a, NodeId b,
 la::DenseMatrix MnaSystem::assemble_matrix(
     const std::vector<bool>& switch_on,
     const std::vector<double>& cap_conductance) const {
+  la::DenseMatrix m = assemble_base(switch_on);
+  if (!cap_conductance.empty()) stamp_capacitors(m, cap_conductance);
+  return m;
+}
+
+la::DenseMatrix MnaSystem::assemble_base(
+    const std::vector<bool>& switch_on) const {
   VS_REQUIRE(switch_on.size() == netlist_.switches().size(),
              "switch state vector size mismatch");
-  VS_REQUIRE(cap_conductance.empty() ||
-                 cap_conductance.size() == netlist_.capacitors().size(),
-             "capacitor conductance vector size mismatch");
 
   la::DenseMatrix m(unknown_count(), unknown_count(), 0.0);
 
@@ -55,14 +59,6 @@ la::DenseMatrix MnaSystem::assemble_matrix(
     const auto& sw = netlist_.switches()[s];
     const double res = switch_on[s] ? sw.on_resistance : sw.off_resistance;
     stamp_conductance(m, sw.a, sw.b, 1.0 / res);
-  }
-  if (!cap_conductance.empty()) {
-    for (std::size_t c = 0; c < netlist_.capacitors().size(); ++c) {
-      if (cap_conductance[c] > 0.0) {
-        stamp_conductance(m, netlist_.capacitors()[c].a,
-                          netlist_.capacitors()[c].b, cap_conductance[c]);
-      }
-    }
   }
   for (std::size_t v = 0; v < netlist_.voltage_sources().size(); ++v) {
     const auto& src = netlist_.voltage_sources()[v];
@@ -80,13 +76,32 @@ la::DenseMatrix MnaSystem::assemble_matrix(
   return m;
 }
 
+void MnaSystem::stamp_capacitors(
+    la::DenseMatrix& m, const std::vector<double>& cap_conductance) const {
+  VS_REQUIRE(cap_conductance.size() == netlist_.capacitors().size(),
+             "capacitor conductance vector size mismatch");
+  for (std::size_t c = 0; c < netlist_.capacitors().size(); ++c) {
+    if (cap_conductance[c] > 0.0) {
+      stamp_conductance(m, netlist_.capacitors()[c].a,
+                        netlist_.capacitors()[c].b, cap_conductance[c]);
+    }
+  }
+}
+
 la::Vector MnaSystem::assemble_rhs(
     const std::vector<double>& cap_history_current) const {
+  la::Vector rhs;
+  assemble_rhs(cap_history_current, rhs);
+  return rhs;
+}
+
+void MnaSystem::assemble_rhs(const std::vector<double>& cap_history_current,
+                             la::Vector& rhs) const {
   VS_REQUIRE(cap_history_current.empty() ||
                  cap_history_current.size() == netlist_.capacitors().size(),
              "capacitor history vector size mismatch");
 
-  la::Vector rhs(unknown_count(), 0.0);
+  rhs.assign(unknown_count(), 0.0);
 
   for (const auto& src : netlist_.current_sources()) {
     // `current` flows from_node -> to_node through the source: it leaves
@@ -109,7 +124,6 @@ la::Vector MnaSystem::assemble_rhs(
   for (std::size_t v = 0; v < netlist_.voltage_sources().size(); ++v) {
     rhs[source_current_index(v)] = netlist_.voltage_sources()[v].voltage;
   }
-  return rhs;
 }
 
 double MnaSystem::node_voltage(const la::Vector& solution, NodeId node) const {

@@ -26,7 +26,7 @@ class MnaSystem {
   /// Row/column of a voltage source's branch-current unknown.
   std::size_t source_current_index(std::size_t vsource_index) const;
 
-  /// Assemble the MNA matrix.
+  /// Assemble the MNA matrix: assemble_base() plus stamp_capacitors().
   ///   switch_on:        per-switch on/off state (size = switches().size()).
   ///   cap_conductance:  per-capacitor companion conductance Geq (size =
   ///                     capacitors().size()); pass an empty vector for DC.
@@ -34,11 +34,28 @@ class MnaSystem {
                                   const std::vector<double>& cap_conductance)
       const;
 
+  /// Everything but the capacitor companions: resistors, then switches in
+  /// the given state, then voltage-source branch stamps.  A transient run
+  /// stamps this once per switch pattern and adds the capacitors per step;
+  /// the sum is bit-identical to a full assembly because every entry still
+  /// accumulates resistors, switches and capacitors in that order (source
+  /// stamps touch only branch rows and columns, which capacitors never do).
+  la::DenseMatrix assemble_base(const std::vector<bool>& switch_on) const;
+
+  /// Add each capacitor's companion conductance (entries <= 0 are skipped)
+  /// to `m`, in capacitor order.
+  void stamp_capacitors(la::DenseMatrix& m,
+                        const std::vector<double>& cap_conductance) const;
+
   /// Assemble the right-hand side.
   ///   cap_history_current: per-capacitor companion source Ieq entering the
   ///                        capacitor's `a` terminal; empty for DC.
   la::Vector assemble_rhs(const std::vector<double>& cap_history_current)
       const;
+
+  /// Same, into `rhs` (resized to unknown_count(); reuses its storage).
+  void assemble_rhs(const std::vector<double>& cap_history_current,
+                    la::Vector& rhs) const;
 
   /// Voltage of `node` given a solution vector (0 for ground).
   double node_voltage(const la::Vector& solution, NodeId node) const;

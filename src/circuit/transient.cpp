@@ -1,9 +1,8 @@
 #include "circuit/transient.h"
 
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
+#include <cstddef>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -35,71 +34,14 @@ double windowed_average(const std::vector<double>& time, double from_time,
   return integral / (time.back() - time[k0]);
 }
 
-/// Per-(switch pattern, scheme, step) factorization cache key.
-struct FactorKey {
-  std::vector<bool> pattern;
-  bool backward_euler = false;
-  std::uint64_t dt_bits = 0;
-  bool operator<(const FactorKey& o) const {
-    if (backward_euler != o.backward_euler) {
-      return backward_euler < o.backward_euler;
-    }
-    if (dt_bits != o.dt_bits) return dt_bits < o.dt_bits;
-    return pattern < o.pattern;
-  }
-};
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t b = 0;
-  static_assert(sizeof(b) == sizeof(x));
-  std::memcpy(&b, &x, sizeof(b));
-  return b;
-}
-
-struct Factorization {
-  std::unique_ptr<la::DenseLu> lu;
-  double gmin_used = 0.0;  // 0 = clean factorization
-};
-
-/// Factor the step matrix, escalating through a gmin diagonal shift when the
-/// direct factorization reports a singular matrix (a floating subcircuit
-/// behind open switches, for example).  Returns lu == nullptr on total
-/// failure.
-Factorization robust_factor(const MnaSystem& mna,
-                            const std::vector<bool>& state,
-                            const std::vector<double>& geq,
-                            const Netlist& netlist) {
-  Factorization out;
-  const la::DenseMatrix base = mna.assemble_matrix(state, geq);
-  try {
-    out.lu = std::make_unique<la::DenseLu>(base);
-    return out;
-  } catch (const Error&) {
-  }
-  for (const double gmin : {1e-12, 1e-9, 1e-6}) {
-    la::DenseMatrix shifted = base;
-    for (NodeId node = 1; node < netlist.node_count(); ++node) {
-      const std::size_t i = mna.voltage_index(node);
-      shifted(i, i) += gmin;
-    }
-    try {
-      out.lu = std::make_unique<la::DenseLu>(std::move(shifted));
-      out.gmin_used = gmin;
-      return out;
-    } catch (const Error&) {
-    }
-  }
-  return out;
-}
-
-/// Clocked states with every switch fault active at `t_eval` overriding its
-/// switch.  The first time a fault takes effect it is recorded into the
-/// report's event trail (at `t_report`, the step's reporting time).
-std::vector<bool> apply_switch_faults(std::vector<bool> state,
-                                      const TransientOptions& options,
-                                      double t_eval, double t_report,
-                                      std::vector<bool>& applied,
-                                      sim::TransientReport& report) {
+/// Clocked states in `state` with every switch fault active at `t_eval`
+/// overriding its switch.  The first time a fault takes effect it is
+/// recorded into the report's event trail (at `t_report`, the step's
+/// reporting time).
+void apply_switch_faults(std::vector<bool>& state,
+                         const TransientOptions& options, double t_eval,
+                         double t_report, std::vector<bool>& applied,
+                         sim::TransientReport& report) {
   for (std::size_t i = 0; i < options.switch_faults.size(); ++i) {
     const auto& f = options.switch_faults[i];
     if (t_eval < f.time) continue;
@@ -115,25 +57,59 @@ std::vector<bool> apply_switch_faults(std::vector<bool> state,
                                                         : "stuck off"));
     }
   }
-  return state;
 }
 
-/// Shared per-run integrator state and sample recording.
-struct Engine {
+}  // namespace
+
+namespace detail {
+
+/// Shared per-run integrator state, step-matrix workspace and sample
+/// recording.
+struct TransientEngine {
+  /// A factored step matrix; ok == false when it stayed singular through
+  /// the whole gmin ladder.
+  struct StepFactor {
+    la::DenseLu lu;
+    bool ok = false;
+  };
+
+  /// One switch pattern seen in the run: its base stamp (resistors,
+  /// switches, sources) and, when factors are reused, the step
+  /// factorization per scheme ([0] trapezoidal, [1] backward Euler).
+  struct Pattern {
+    std::vector<bool> state;
+    la::DenseMatrix base;
+    std::optional<StepFactor> factor[2];
+  };
+
   const Netlist& netlist;
   const MnaSystem mna;
+  /// Fixed mode: dt never changes, so a (pattern, scheme) factorization is
+  /// valid for the whole run.  Adaptive mode factors every step.
+  const bool reuse_factors;
   std::vector<double> cap_voltage;
   std::vector<double> cap_current;
-  std::map<FactorKey, Factorization> cache;
+  std::vector<Pattern> patterns;
+  std::size_t last_pattern = 0;
+  la::DenseMatrix step_matrix;  // base + capacitor companions
+  la::DenseLu step_lu;          // adaptive mode's per-step factorization
+  la::Vector rhs;
+  // Per-run tallies, published once by publish_counters().
+  std::size_t factorizations = 0;
+  std::size_t factor_hits = 0;
+  std::size_t factor_misses = 0;
   TransientResult result;
 
-  explicit Engine(const Netlist& net) : netlist(net), mna(net) {
+  TransientEngine(const Netlist& net, bool reuse)
+      : netlist(net), mna(net), reuse_factors(reuse) {
     const auto& caps = net.capacitors();
     cap_voltage.resize(caps.size());
     cap_current.assign(caps.size(), 0.0);
     for (std::size_t c = 0; c < caps.size(); ++c) {
       cap_voltage[c] = caps[c].initial_voltage;
     }
+    result.node_count_ = net.node_count();
+    result.source_count_ = net.voltage_sources().size();
   }
 
   void init_from_dc(const std::vector<bool>& state0) {
@@ -168,41 +144,96 @@ struct Engine {
     }
   }
 
-  /// Factor (through the cache + gmin ladder) and solve one step.  Returns
-  /// false when the matrix is unfactorizable even with the ladder.
-  bool solve_step(const std::vector<bool>& state, bool backward_euler,
-                  double h, const std::vector<double>& geq,
-                  const std::vector<double>& ieq, double t, la::Vector& x) {
-    if (cache.size() > 256) cache.clear();  // bound adaptive-dt growth
-    FactorKey key{state, backward_euler, bits_of(h)};
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-      Factorization f = robust_factor(mna, state, geq, netlist);
-      if (f.gmin_used > 0.0) {
-        std::ostringstream oss;
-        oss << "singular step matrix; factored with gmin shift "
-            << f.gmin_used;
-        result.report.record_event(t, oss.str());
-      }
-      it = cache.emplace(std::move(key), std::move(f)).first;
+  /// The pattern entry for `state`, stamping its base on first sight.
+  Pattern& pattern_for(const std::vector<bool>& state) {
+    if (last_pattern < patterns.size() &&
+        patterns[last_pattern].state == state) {
+      return patterns[last_pattern];
     }
-    if (!it->second.lu) return false;
-    x = it->second.lu->solve(mna.assemble_rhs(ieq));
+    for (last_pattern = 0; last_pattern < patterns.size(); ++last_pattern) {
+      if (patterns[last_pattern].state == state) {
+        return patterns[last_pattern];
+      }
+    }
+    patterns.push_back(Pattern{state, mna.assemble_base(state), {}});
+    return patterns.back();
+  }
+
+  /// Factor base + capacitor companions into `lu`, escalating through a
+  /// gmin diagonal shift when the direct factorization reports a singular
+  /// matrix (a floating subcircuit behind open switches, for example).
+  /// Returns false on total failure.
+  bool factor_step(const la::DenseMatrix& base, const std::vector<double>& geq,
+                   double t, la::DenseLu& lu) {
+    ++factorizations;
+    step_matrix = base;
+    mna.stamp_capacitors(step_matrix, geq);
+    try {
+      lu.refactor(step_matrix);
+      return true;
+    } catch (const Error&) {
+    }
+    for (const double gmin : {1e-12, 1e-9, 1e-6}) {
+      la::DenseMatrix shifted = step_matrix;
+      for (NodeId node = 1; node < netlist.node_count(); ++node) {
+        const std::size_t i = mna.voltage_index(node);
+        shifted(i, i) += gmin;
+      }
+      try {
+        lu.refactor(shifted);
+      } catch (const Error&) {
+        continue;
+      }
+      std::ostringstream oss;
+      oss << "singular step matrix; factored with gmin shift " << gmin;
+      result.report.record_event(t, oss.str());
+      return true;
+    }
+    return false;
+  }
+
+  /// Factor (or, with reuse_factors, look up) and solve one step into `x`.
+  /// Returns false when the matrix is unfactorizable even with the ladder.
+  bool solve_step(const std::vector<bool>& state, bool backward_euler,
+                  const std::vector<double>& geq,
+                  const std::vector<double>& ieq, double t, la::Vector& x) {
+    Pattern& pattern = pattern_for(state);
+    const la::DenseLu* lu = &step_lu;
+    if (reuse_factors) {
+      std::optional<StepFactor>& slot = pattern.factor[backward_euler];
+      if (slot) {
+        ++factor_hits;
+      } else {
+        ++factor_misses;
+        slot.emplace();
+        slot->ok = factor_step(pattern.base, geq, t, slot->lu);
+      }
+      if (!slot->ok) return false;
+      lu = &slot->lu;
+    } else if (!factor_step(pattern.base, geq, t, step_lu)) {
+      return false;
+    }
+    mna.assemble_rhs(ieq, rhs);
+    lu->solve_into(rhs, x);
     return true;
   }
 
   void record_sample(double t, const la::Vector& x) {
     result.time.push_back(t);
-    la::Vector volts(netlist.node_count(), 0.0);
-    for (NodeId nd = 1; nd < netlist.node_count(); ++nd) {
-      volts[nd] = mna.node_voltage(x, nd);
+    // Node-voltage unknowns lead the MNA vector (nodes 1..n-1 in order).
+    const std::size_t voltages = netlist.node_count() - 1;
+    result.node_voltages_.insert(result.node_voltages_.end(), x.begin(),
+                                 x.begin() + static_cast<std::ptrdiff_t>(
+                                                 voltages));
+    for (std::size_t v = 0; v < result.source_count_; ++v) {
+      result.vsource_currents_.push_back(-x[mna.source_current_index(v)]);
     }
-    result.node_voltages.push_back(std::move(volts));
-    la::Vector src(netlist.voltage_sources().size(), 0.0);
-    for (std::size_t v = 0; v < src.size(); ++v) {
-      src[v] = -x[mna.source_current_index(v)];
-    }
-    result.vsource_currents.push_back(std::move(src));
+  }
+
+  void reserve_samples(std::size_t n) {
+    result.time.reserve(n);
+    result.node_voltages_.reserve(n * (netlist.node_count() - 1));
+    result.vsource_currents_.reserve(n * result.source_count_);
   }
 
   void commit_caps(const la::Vector& x, const std::vector<double>& geq,
@@ -215,23 +246,51 @@ struct Engine {
       cap_voltage[c] = v_new;
     }
   }
+
+  /// Add this run's factorization tallies to the process counters (the
+  /// cache counters only exist once a fixed-mode run has used the cache).
+  void publish_counters() const {
+    static const telemetry::Counter c_factorizations(
+        "circuit.transient.factorizations");
+    c_factorizations.add(static_cast<double>(factorizations));
+    if (reuse_factors) {
+      static const telemetry::Counter c_hits(
+          "circuit.transient.factor_cache.hits");
+      static const telemetry::Counter c_misses(
+          "circuit.transient.factor_cache.misses");
+      c_hits.add(static_cast<double>(factor_hits));
+      c_misses.add(static_cast<double>(factor_misses));
+    }
+  }
 };
 
-}  // namespace
+}  // namespace detail
+
+double TransientResult::node_voltage(std::size_t k, NodeId node) const {
+  VS_REQUIRE(k < sample_count(), "sample index out of range");
+  VS_REQUIRE(node < node_count_, "node out of range");
+  if (node == kGround) return 0.0;
+  return node_voltages_[k * (node_count_ - 1) + (node - 1)];
+}
+
+double TransientResult::vsource_current(std::size_t k,
+                                        std::size_t source) const {
+  VS_REQUIRE(k < sample_count(), "sample index out of range");
+  VS_REQUIRE(source < source_count_, "voltage source index out of range");
+  return vsource_currents_[k * source_count_ + source];
+}
 
 double TransientResult::average_node_voltage(NodeId node,
                                              double from_time) const {
   return windowed_average(time, from_time, [&](std::size_t k) {
-    return node == kGround ? 0.0 : node_voltages[k][node];
+    return node_voltage(k, node);
   });
 }
 
 double TransientResult::average_vsource_current(std::size_t source,
                                                 double from_time) const {
   return windowed_average(time, from_time, [&](std::size_t k) {
-    VS_REQUIRE(source < vsource_currents[k].size(),
-               "voltage source index out of range");
-    return vsource_currents[k][source];
+    return vsource_current(k, source);
   });
 }
 
@@ -240,7 +299,7 @@ double TransientResult::min_node_voltage(NodeId node, double from_time) const {
   double m = 1e300;
   for (std::size_t k = 0; k < time.size(); ++k) {
     if (time[k] < from_time) continue;
-    m = std::min(m, node == kGround ? 0.0 : node_voltages[k][node]);
+    m = std::min(m, node_voltage(k, node));
   }
   return m;
 }
@@ -250,7 +309,7 @@ double TransientResult::max_node_voltage(NodeId node, double from_time) const {
   double m = -1e300;
   for (std::size_t k = 0; k < time.size(); ++k) {
     if (time[k] < from_time) continue;
-    m = std::max(m, node == kGround ? 0.0 : node_voltages[k][node]);
+    m = std::max(m, node_voltage(k, node));
   }
   return m;
 }
@@ -262,12 +321,18 @@ TransientSimulator::TransientSimulator(const Netlist& netlist,
 }
 
 std::vector<bool> TransientSimulator::switch_states(double t) const {
-  std::vector<bool> on(netlist_.switches().size());
+  std::vector<bool> on;
+  fill_switch_states(t, on);
+  return on;
+}
+
+void TransientSimulator::fill_switch_states(double t,
+                                            std::vector<bool>& on) const {
+  on.resize(netlist_.switches().size());
   for (std::size_t s = 0; s < on.size(); ++s) {
     const auto& phase = netlist_.switches()[s].phase;
     on[s] = frac(t / clock_period_ + phase.phase_offset) < phase.duty;
   }
-  return on;
 }
 
 sim::PeriodicEvents TransientSimulator::switch_edges() const {
@@ -319,18 +384,17 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     }
   }
 
-  Engine eng(netlist_);
+  detail::TransientEngine eng(netlist_, /*reuse_factors=*/true);
   if (options.start_from_dc) eng.init_from_dc(switch_states(0.0));
 
   const auto n_steps = static_cast<std::size_t>(
       std::llround(options.stop_time / h));
-  eng.result.time.reserve(n_steps);
-  eng.result.node_voltages.reserve(n_steps);
-  eng.result.vsource_currents.reserve(n_steps);
+  eng.reserve_samples(n_steps);
 
   sim::TransientReport& report = eng.result.report;
   const double wall_start = monotonic_seconds();
   std::vector<bool> prev_state = switch_states(0.5 * h);
+  std::vector<bool> state;
   std::vector<bool> faults_applied(options.switch_faults.size(), false);
   int backward_euler_steps = 2;  // start conservatively
 
@@ -346,9 +410,9 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     const double t_new = static_cast<double>(step + 1) * h;
     // Evaluate switch state at the midpoint of the step so events that land
     // exactly on a boundary take effect in the step that follows them.
-    const std::vector<bool> state =
-        apply_switch_faults(switch_states(t_new - 0.5 * h), options,
-                            t_new - 0.5 * h, t_new, faults_applied, report);
+    fill_switch_states(t_new - 0.5 * h, state);
+    apply_switch_faults(state, options, t_new - 0.5 * h, t_new,
+                        faults_applied, report);
     if (state != prev_state) {
       backward_euler_steps = 2;
       prev_state = state;
@@ -357,7 +421,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     if (backward_euler_steps > 0) --backward_euler_steps;
 
     eng.companions(be, h, geq, ieq);
-    if (!eng.solve_step(state, be, h, geq, ieq, t_new, x)) {
+    if (!eng.solve_step(state, be, geq, ieq, t_new, x)) {
       report.status = sim::TransientStatus::SolverFailure;
       report.diagnostic = "step matrix singular beyond the gmin ladder at "
                           "t = " + std::to_string(t_new) + " s";
@@ -381,6 +445,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
   }
 
   sim::finalize_fixed_run(report, h, wall_start);
+  eng.publish_counters();
   return eng.result;
 }
 
@@ -398,7 +463,7 @@ TransientResult TransientSimulator::run_adaptive(
   const double dt_edge_restart = dt_max / 256.0;
   constexpr int kBeStartupSteps = 2;
 
-  Engine eng(netlist_);
+  detail::TransientEngine eng(netlist_, /*reuse_factors=*/false);
   if (options.start_from_dc) eng.init_from_dc(switch_states(0.0));
 
   // Unified timeline: clocked switch edges plus every switch-fault instant,
@@ -409,6 +474,7 @@ TransientResult TransientSimulator::run_adaptive(
   sim::StepController ctl(options.control, 0.0, options.stop_time, dt_init,
                           dt_max);
   std::vector<bool> faults_applied(options.switch_faults.size(), false);
+  std::vector<bool> state;
 
   std::vector<double> geq(netlist_.capacitors().size());
   std::vector<double> ieq(netlist_.capacitors().size());
@@ -429,11 +495,11 @@ TransientResult TransientSimulator::run_adaptive(
     if (ctl.failed()) break;
     const bool be = be_left > 0;
 
-    const std::vector<bool> state =
-        apply_switch_faults(switch_states(t + 0.5 * dt), options, t + 0.5 * dt,
-                            t, faults_applied, ctl.report());
+    fill_switch_states(t + 0.5 * dt, state);
+    apply_switch_faults(state, options, t + 0.5 * dt, t, faults_applied,
+                        ctl.report());
     eng.companions(be, dt, geq, ieq);
-    if (!eng.solve_step(state, be, dt, geq, ieq, t, x)) {
+    if (!eng.solve_step(state, be, geq, ieq, t, x)) {
       ctl.reject_step("unfactorizable step matrix");
       continue;
     }
@@ -479,6 +545,7 @@ TransientResult TransientSimulator::run_adaptive(
 
   ctl.finalize();
   eng.result.report = ctl.report();
+  eng.publish_counters();
   return eng.result;
 }
 

@@ -3,9 +3,12 @@
 //
 // Capacitors use trapezoidal companion models, falling back to backward
 // Euler for a couple of steps after every switching event to suppress the
-// ringing trapezoidal integration exhibits across discontinuities.  Matrix
-// factorizations are cached per (switch pattern, scheme, dt), so a periodic
-// steady-state run factors each distinct clock phase a handful of times.
+// ringing trapezoidal integration exhibits across discontinuities.  The
+// resistor, switch and source stamps are assembled once per switch pattern
+// seen in a run; each step copies that base into a reused workspace, adds
+// the capacitor companions and factors it in place.  Fixed mode (constant
+// dt) also reuses the factorization per (switch pattern, scheme); adaptive
+// mode never repeats a dt, so it factors every step and caches nothing.
 //
 // Adaptive mode drives the shared sim::StepController: local-truncation-
 // error controlled step selection with rejection/halving/exponential
@@ -24,8 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,8 @@ enum class SteppingMode {
 /// off (gate-driver failure / stuck SC phase).  Adaptive mode snaps a step
 /// boundary exactly onto `time`; fixed mode applies the override under the
 /// same midpoint rule as clocked edges (a fault landing exactly on a grid
-/// point takes effect in the step that follows it).  The factorization
-/// cache keys on the full switch pattern, so pre-fault factorizations are
+/// point takes effect in the step that follows it).  Step matrices key on
+/// the full switch pattern, so pre-fault stamps and factorizations are
 /// never reused for the post-fault pattern.  DC initialization always uses
 /// the HEALTHY switch states, even for faults at time <= 0: the run starts
 /// from the nominal operating point and shows the response from t = 0+.
@@ -76,20 +77,31 @@ struct TransientOptions {
   sim::StepControlOptions control;
 };
 
-/// Recorded waveforms.  Index k corresponds to time[k]; spacing is uniform
+namespace detail {
+struct TransientEngine;
+}
+
+/// Recorded waveforms.  Sample k is taken at time[k]; spacing is uniform
 /// in fixed mode and variable in adaptive mode (averages are time-weighted
-/// so both modes measure identically).
+/// so both modes measure identically).  Node voltages and source currents
+/// are stored row-major, one contiguous row per sample.
 class TransientResult {
  public:
   std::vector<double> time;
-  std::vector<la::Vector> node_voltages;      // per step, size = node_count
-  std::vector<la::Vector> vsource_currents;   // delivered current per source
 
   /// Structured outcome: step statistics, recovery events, and a status
   /// labeling truncated results.  Check ok() before trusting the waveforms
   /// to cover the full requested span.
   sim::TransientReport report;
   bool ok() const { return report.ok(); }
+
+  std::size_t sample_count() const { return time.size(); }
+
+  /// Voltage of `node` at sample k (0 for ground).
+  double node_voltage(std::size_t k, NodeId node) const;
+
+  /// Current delivered by voltage source `source` at sample k.
+  double vsource_current(std::size_t k, std::size_t source) const;
 
   /// Time-average of a node voltage over [from_time, end] (trapezoidal
   /// weights, exact for non-uniform adaptive sampling).
@@ -101,6 +113,14 @@ class TransientResult {
   /// Min / max of a node voltage over [from_time, end].
   double min_node_voltage(NodeId node, double from_time) const;
   double max_node_voltage(NodeId node, double from_time) const;
+
+ private:
+  friend struct detail::TransientEngine;
+
+  std::size_t node_count_ = 0;    // rows hold nodes 1..node_count_-1
+  std::size_t source_count_ = 0;
+  std::vector<double> node_voltages_;
+  std::vector<double> vsource_currents_;
 };
 
 class TransientSimulator {
@@ -123,6 +143,10 @@ class TransientSimulator {
  private:
   TransientResult run_fixed(const TransientOptions& options);
   TransientResult run_adaptive(const TransientOptions& options);
+
+  /// switch_states(t) into `on` (sized to the switch count; no allocation
+  /// once it is).
+  void fill_switch_states(double t, std::vector<bool>& on) const;
 
   const Netlist& netlist_;
   double clock_period_;

@@ -102,6 +102,23 @@ TEST(ScTestbenchTest, AdaptiveModeAcceptsAnyStepCount) {
   EXPECT_LT(m.average_output_voltage, 1.1);
 }
 
+TEST(ScTestbenchTest, AdaptiveStepCountsArePinned) {
+  // The step controller's accept/reject sequence is a bitwise fingerprint
+  // of the whole adaptive path (MNA stamps, LU, LTE norm, step selection):
+  // a changed bit anywhere moves these counts.  Recorded on x86-64 (SSE2
+  // double arithmetic, no FMA contraction); a change that is meant to move
+  // results must re-record them and say so.
+  ScTestbenchConfig cfg;
+  cfg.load_current = 50e-3;
+  ScSimulationOptions opts;
+  opts.settle_periods = 10;
+  opts.measure_periods = 5;
+  const ScMeasurement m = simulate_push_pull_sc(cfg, opts);
+  ASSERT_TRUE(m.ok()) << m.transient.summary();
+  EXPECT_EQ(m.transient.accepted_steps, 145937u);
+  EXPECT_EQ(m.transient.rejected_steps, 841u);
+}
+
 TEST(ScTestbenchTest, RejectsNonZeroBottomRail) {
   ScTestbenchConfig cfg;
   cfg.v_bottom = 0.5;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::circuit {
 namespace {
@@ -24,9 +26,9 @@ TEST(TransientTest, RcChargeMatchesAnalytic) {
   opts.time_step = 1e-6;
   const TransientResult r = sim.run(opts);
 
-  for (std::size_t k = 100; k < r.time.size(); k += 500) {
+  for (std::size_t k = 100; k < r.sample_count(); k += 500) {
     const double expected = 1.0 - std::exp(-r.time[k] / 1e-3);
-    EXPECT_NEAR(r.node_voltages[k][out], expected, 2e-4)
+    EXPECT_NEAR(r.node_voltage(k, out), expected, 2e-4)
         << "at t=" << r.time[k];
   }
 }
@@ -44,7 +46,7 @@ TEST(TransientTest, CapacitorInitialVoltageRespected) {
   const TransientResult r = sim.run(opts);
   // After 1 tau (1 ms) the voltage should be ~2/e.
   const std::size_t k_tau = 1000;
-  EXPECT_NEAR(r.node_voltages[k_tau][out], 2.0 / M_E, 5e-3);
+  EXPECT_NEAR(r.node_voltage(k_tau, out), 2.0 / M_E, 5e-3);
 }
 
 TEST(TransientTest, StartFromDcEliminatesStartupTransient) {
@@ -63,8 +65,8 @@ TEST(TransientTest, StartFromDcEliminatesStartupTransient) {
   opts.start_from_dc = true;
   const TransientResult r = sim.run(opts);
   // DC point: divider at 2V; with start_from_dc the node never moves.
-  EXPECT_NEAR(r.node_voltages.front()[out], 2.0, 1e-9);
-  EXPECT_NEAR(r.node_voltages.back()[out], 2.0, 1e-9);
+  EXPECT_NEAR(r.node_voltage(0, out), 2.0, 1e-9);
+  EXPECT_NEAR(r.node_voltage(r.sample_count() - 1, out), 2.0, 1e-9);
 }
 
 TEST(TransientTest, SwitchStatesFollowClock) {
@@ -107,7 +109,7 @@ TEST(TransientTest, SwitchedDividerAlternates) {
   // Sample within each half of the third period.
   const auto at = [&](double t) {
     const auto k = static_cast<std::size_t>(t / opts.time_step) - 1;
-    return r.node_voltages[k][out];
+    return r.node_voltage(k, out);
   };
   EXPECT_NEAR(at(2.25e-6), 1.0, 1e-4);  // phase A: pulled to vin
   EXPECT_NEAR(at(2.75e-6), 0.0, 1e-4);  // phase B: grounded
@@ -128,8 +130,8 @@ TEST(TransientTest, EnergyConservationInRcDischarge) {
   const TransientResult r = sim.run(opts);
 
   double dissipated = 0.0;
-  for (std::size_t k = 0; k < r.time.size(); ++k) {
-    const double v = r.node_voltages[k][out];
+  for (std::size_t k = 0; k < r.sample_count(); ++k) {
+    const double v = r.node_voltage(k, out);
     dissipated += v * v / r_val * opts.time_step;
   }
   EXPECT_NEAR(dissipated, 0.5 * c_val * v0 * v0, 0.01 * 0.5 * c_val);
@@ -193,9 +195,9 @@ TEST(TransientTest, AdaptiveRcMatchesAnalytic) {
   const TransientResult r = sim.run(opts);
 
   ASSERT_TRUE(r.ok()) << r.report.summary();
-  for (std::size_t k = 1; k < r.time.size(); ++k) {
+  for (std::size_t k = 1; k < r.sample_count(); ++k) {
     const double expected = 1.0 - std::exp(-r.time[k] / 1e-3);
-    ASSERT_NEAR(r.node_voltages[k][out], expected, 2e-3)
+    ASSERT_NEAR(r.node_voltage(k, out), expected, 2e-3)
         << "at t=" << r.time[k];
   }
   // Final sample lands exactly on stop_time.
@@ -258,14 +260,14 @@ TEST(TransientTest, StiffCircuitAdaptiveConvergesWithoutNaN) {
   ASSERT_NO_THROW(r = sim.run(opts));
   ASSERT_TRUE(r.ok()) << r.report.summary();
 
-  for (std::size_t k = 0; k < r.time.size(); ++k) {
-    ASSERT_TRUE(std::isfinite(r.node_voltages[k][a]));
-    ASSERT_TRUE(std::isfinite(r.node_voltages[k][b]));
+  for (std::size_t k = 0; k < r.sample_count(); ++k) {
+    ASSERT_TRUE(std::isfinite(r.node_voltage(k, a)));
+    ASSERT_TRUE(std::isfinite(r.node_voltage(k, b)));
   }
   // Slow node settles onto the analytic single-pole response.
   const double tau_slow = 1e6 * 1e-9;
   const double expected = 1.0 - std::exp(-opts.stop_time / tau_slow);
-  EXPECT_NEAR(r.node_voltages.back()[b], expected, 5e-3);
+  EXPECT_NEAR(r.node_voltage(r.sample_count() - 1, b), expected, 5e-3);
   // And it did so in far fewer steps than the fast pole's fixed grid.
   EXPECT_LT(r.report.accepted_steps, 50000u);
 }
@@ -292,8 +294,8 @@ TEST(TransientTest, DcSingularNetlistRecoversViaGminLadder) {
   TransientResult r;
   ASSERT_NO_THROW(r = sim.run(opts));
   ASSERT_TRUE(r.ok()) << r.report.summary();
-  for (std::size_t k = 0; k < r.time.size(); ++k) {
-    ASSERT_TRUE(std::isfinite(r.node_voltages[k][b]));
+  for (std::size_t k = 0; k < r.sample_count(); ++k) {
+    ASSERT_TRUE(std::isfinite(r.node_voltage(k, b)));
   }
 }
 
@@ -319,8 +321,8 @@ TEST(TransientTest, StepBudgetTruncatesButLabelsTheResult) {
   // The truncated prefix is still usable: nonempty, finite, labeled.
   ASSERT_FALSE(r.time.empty());
   EXPECT_LT(r.report.end_time, opts.stop_time);
-  for (std::size_t k = 0; k < r.time.size(); ++k) {
-    ASSERT_TRUE(std::isfinite(r.node_voltages[k][out]));
+  for (std::size_t k = 0; k < r.sample_count(); ++k) {
+    ASSERT_TRUE(std::isfinite(r.node_voltage(k, out)));
   }
 }
 
@@ -368,6 +370,116 @@ TEST(TransientTest, AdaptiveDerivesDefaultMaxStepFromClock) {
   const TransientResult r = sim.run(opts);
   EXPECT_TRUE(r.ok()) << r.report.summary();
 }
+
+TEST(TransientTest, WaveformAccessorsReadRowsAndRejectBadIndices) {
+  // RC charge: the source delivers (1 V - v_out) / R at every sample.
+  Netlist net;
+  const NodeId vin = net.create_node("vin");
+  const NodeId out = net.create_node("out");
+  net.add_voltage_source(vin, kGround, 1.0);
+  net.add_resistor(vin, out, 1000.0);
+  net.add_capacitor(out, kGround, 1e-6, 0.0);
+
+  TransientSimulator sim(net, 1.0);
+  TransientOptions opts;
+  opts.stop_time = 1e-3;
+  opts.time_step = 1e-5;
+  const TransientResult r = sim.run(opts);
+  ASSERT_EQ(r.sample_count(), 100u);
+  for (std::size_t k = 0; k < r.sample_count(); ++k) {
+    EXPECT_EQ(r.node_voltage(k, kGround), 0.0);
+    EXPECT_NEAR(r.node_voltage(k, vin), 1.0, 1e-12);
+    EXPECT_NEAR(r.vsource_current(k, 0),
+                (1.0 - r.node_voltage(k, out)) / 1000.0, 1e-12);
+  }
+  EXPECT_THROW(r.node_voltage(r.sample_count(), out), Error);
+  EXPECT_THROW(r.node_voltage(0, net.node_count()), Error);
+  EXPECT_THROW(r.vsource_current(0, 1), Error);
+  EXPECT_THROW(TransientResult{}.node_voltage(0, kGround), Error);
+}
+
+TEST(TransientTest, FixedModeGminEventOncePerPatternAndScheme) {
+  // A node with no element at all makes every step matrix singular; the
+  // gmin ladder factors it.  Fixed mode reuses each (switch pattern,
+  // scheme) factorization, so the trail records one gmin event per
+  // pattern and scheme: two phases x (backward Euler, trapezoidal).
+  Netlist net;
+  const NodeId vin = net.create_node("vin");
+  const NodeId out = net.create_node("out");
+  net.create_node("dangling");
+  net.add_voltage_source(vin, kGround, 1.0);
+  net.add_switch(vin, out, 10.0, 1e9, ClockPhase{0.0, 0.5});
+  net.add_resistor(out, kGround, 1e4);
+  net.add_capacitor(out, kGround, 1e-9, 0.0);
+
+  TransientSimulator sim(net, 1e-6);
+  TransientOptions opts;
+  opts.stop_time = 5e-6;
+  opts.time_step = 1e-8;
+  const TransientResult r = sim.run(opts);
+  ASSERT_TRUE(r.ok()) << r.report.summary();
+  std::size_t gmin_events = 0;
+  for (const auto& ev : r.report.events) {
+    if (ev.what.find("gmin shift 1e-12") != std::string::npos) ++gmin_events;
+  }
+  EXPECT_EQ(gmin_events, 4u);
+}
+
+#if VSTACK_TELEMETRY_ENABLED
+double counter(const std::string& name) {
+  return telemetry::snapshot().counter_value(name);
+}
+
+/// Two-phase switched divider with a holding capacitor.
+Netlist switched_divider() {
+  Netlist net;
+  const NodeId vin = net.create_node("vin");
+  const NodeId out = net.create_node("out");
+  net.add_voltage_source(vin, kGround, 1.0);
+  net.add_switch(vin, out, 10.0, 1e9, ClockPhase{0.0, 0.5});
+  net.add_switch(out, kGround, 10.0, 1e9, ClockPhase{0.5, 0.5});
+  net.add_resistor(out, kGround, 1e6);
+  net.add_capacitor(out, kGround, 1e-9, 0.0);
+  return net;
+}
+
+TEST(TransientTest, FixedModeReusesOneFactorizationPerPatternAndScheme) {
+  const Netlist net = switched_divider();
+  TransientSimulator sim(net, 1e-6);
+  TransientOptions opts;
+  opts.stop_time = 4e-6;
+  opts.time_step = 1e-8;
+  const double factorizations = counter("circuit.transient.factorizations");
+  const double hits = counter("circuit.transient.factor_cache.hits");
+  const double misses = counter("circuit.transient.factor_cache.misses");
+  const TransientResult r = sim.run(opts);
+  ASSERT_TRUE(r.ok()) << r.report.summary();
+  // Two switch patterns, each stepped with both schemes: four factors for
+  // 400 steps.
+  EXPECT_EQ(counter("circuit.transient.factor_cache.misses"), misses + 4.0);
+  EXPECT_EQ(counter("circuit.transient.factor_cache.hits"), hits + 396.0);
+  EXPECT_EQ(counter("circuit.transient.factorizations"), factorizations + 4.0);
+}
+
+TEST(TransientTest, AdaptiveModeFactorsEachAttemptedStepOnceAndCachesNothing) {
+  const Netlist net = switched_divider();
+  TransientSimulator sim(net, 1e-6);
+  TransientOptions opts;
+  opts.stop_time = 4e-6;
+  opts.mode = SteppingMode::Adaptive;
+  const double factorizations = counter("circuit.transient.factorizations");
+  const double hits = counter("circuit.transient.factor_cache.hits");
+  const double misses = counter("circuit.transient.factor_cache.misses");
+  const TransientResult r = sim.run(opts);
+  ASSERT_TRUE(r.ok()) << r.report.summary();
+  ASSERT_GT(r.report.rejected_steps, 0u);
+  EXPECT_EQ(counter("circuit.transient.factorizations"),
+            factorizations + static_cast<double>(r.report.accepted_steps +
+                                                 r.report.rejected_steps));
+  EXPECT_EQ(counter("circuit.transient.factor_cache.hits"), hits);
+  EXPECT_EQ(counter("circuit.transient.factor_cache.misses"), misses);
+}
+#endif
 
 }  // namespace
 }  // namespace vstack::circuit

@@ -2,6 +2,8 @@
 // the paper's Fig. 3 validation, as an automated regression test.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "circuit/sc_testbench.h"
 #include "sc/compact_model.h"
 
@@ -12,6 +14,15 @@ struct ValidationCase {
   double load_ma;
   sc::ControlPolicy policy;
 };
+
+// Without this gtest prints the raw struct bytes, padding included, and
+// gtest_discover_tests bakes them into the ctest names, which then change
+// from build to build.
+void PrintTo(const ValidationCase& c, std::ostream* os) {
+  *os << c.load_ma << " mA "
+      << (c.policy == sc::ControlPolicy::OpenLoop ? "open-loop"
+                                                  : "closed-loop");
+}
 
 class Fig3Validation : public ::testing::TestWithParam<ValidationCase> {};
 
