@@ -99,6 +99,9 @@ struct TransientEngine {
   std::size_t factor_hits = 0;
   std::size_t factor_misses = 0;
   TransientResult result;
+  /// Where recovery events go: the report of the run this engine serves
+  /// (the result's own in fixed mode, the stepper's in adaptive mode).
+  sim::TransientReport* report = &result.report;
 
   TransientEngine(const Netlist& net, bool reuse)
       : netlist(net), mna(net), reuse_factors(reuse) {
@@ -121,11 +124,11 @@ struct TransientEngine {
         cap_voltage[c] = dc.node_voltages[cap.a] - dc.node_voltages[cap.b];
       }
       if (dc_report.method != "direct") {
-        result.report.record_event(
+        report->record_event(
             0.0, "DC initialization recovered via " + dc_report.method);
       }
     } else {
-      result.report.record_event(
+      report->record_event(
           0.0, dc_report.diagnostic + "; using netlist initial conditions");
     }
   }
@@ -186,7 +189,7 @@ struct TransientEngine {
       }
       std::ostringstream oss;
       oss << "singular step matrix; factored with gmin shift " << gmin;
-      result.report.record_event(t, oss.str());
+      report->record_event(t, oss.str());
       return true;
     }
     return false;
@@ -424,13 +427,13 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     if (!eng.solve_step(state, be, geq, ieq, t_new, x)) {
       report.status = sim::TransientStatus::SolverFailure;
       report.diagnostic = "step matrix singular beyond the gmin ladder at "
-                          "t = " + std::to_string(t_new) + " s";
+                          "t = " + sim::format_g(t_new) + " s";
       break;
     }
     if (!sim::finite_and_bounded(x)) {
       report.status = sim::TransientStatus::SolverFailure;
       report.diagnostic =
-          "NaN/overflow guard fired at t = " + std::to_string(t_new) +
+          "NaN/overflow guard fired at t = " + sim::format_g(t_new) +
           " s (fixed step cannot be refined; rerun with a smaller step or "
           "SteppingMode::Adaptive)";
       ++report.rejected_steps;
@@ -459,11 +462,13 @@ TransientResult TransientSimulator::run_adaptive(
                                          : clock_period_ / 64.0;
   }
   dt_max = std::min(dt_max, options.stop_time);
-  const double dt_init = dt_max / 8.0;
-  const double dt_edge_restart = dt_max / 256.0;
-  constexpr int kBeStartupSteps = 2;
 
+  // Restart far below the fastest time constant, or the BE steps after an
+  // edge mis-integrate its current spike and bias the input power.
+  sim::AdaptiveStepper stepper(options.control, options.stop_time, dt_max,
+                               dt_max / 256.0);
   detail::TransientEngine eng(netlist_, /*reuse_factors=*/false);
+  eng.report = &stepper.report();
   if (options.start_from_dc) eng.init_from_dc(switch_states(0.0));
 
   // Unified timeline: clocked switch edges plus every switch-fault instant,
@@ -471,80 +476,37 @@ TransientResult TransientSimulator::run_adaptive(
   sim::EventSchedule schedule(options.stop_time);
   schedule.add_periodic(switch_edges());
   for (const auto& f : options.switch_faults) schedule.add_time(f.time);
-  sim::StepController ctl(options.control, 0.0, options.stop_time, dt_init,
-                          dt_max);
   std::vector<bool> faults_applied(options.switch_faults.size(), false);
   std::vector<bool> state;
 
   std::vector<double> geq(netlist_.capacitors().size());
   std::vector<double> ieq(netlist_.capacitors().size());
   la::Vector x;
-  // Last accepted solution and its per-unknown slope, for the LTE predictor.
-  // The norm runs over the FULL MNA vector (node voltages and source branch
-  // currents), not just capacitor states: the post-edge current spikes decay
-  // with the switch RC constant, and resolving them is what makes the
-  // time-weighted average input current (and hence efficiency) accurate.
-  la::Vector x_prev, x_slope, x_pred;
-  bool have_slope = false;
 
-  int be_left = kBeStartupSteps;  // startup; reset after every switch edge
-
-  while (!ctl.done() && !ctl.failed()) {
-    const double t = ctl.time();
-    const double dt = ctl.begin_step(schedule.next_after(t));
-    if (ctl.failed()) break;
-    const bool be = be_left > 0;
+  while (stepper.running()) {
+    const double t = stepper.time();
+    const double dt = stepper.begin(schedule.next_after(t));
+    if (!stepper.running()) break;
+    const bool be = stepper.backward_euler();
 
     fill_switch_states(t + 0.5 * dt, state);
     apply_switch_faults(state, options, t + 0.5 * dt, t, faults_applied,
-                        ctl.report());
+                        stepper.report());
     eng.companions(be, dt, geq, ieq);
     if (!eng.solve_step(state, be, geq, ieq, t, x)) {
-      ctl.reject_step("unfactorizable step matrix");
+      stepper.reject("unfactorizable step matrix");
       continue;
     }
-    if (!sim::finite_and_bounded(x)) {
-      ctl.reject_step("NaN/overflow guard");
-      continue;
-    }
-
-    // LTE estimate: linear predictor from the last accepted step's slope.
-    // Skipped during BE startup (the slope across a switching discontinuity
-    // is meaningless); the reduced step after reset_dt covers accuracy.
-    double err = 0.0;
-    if (!be && have_slope) {
-      x_pred.resize(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x_pred[i] = x_prev[i] + x_slope[i] * dt;
-      }
-      err = sim::error_norm(x, x_pred, options.control.rel_tol,
-                            options.control.abs_tol);
-    }
-
-    const bool on_edge = ctl.ends_on_event();
-    if (!ctl.finish_step(err, be ? 1 : 2)) continue;
-
-    if (x_prev.size() == x.size()) {
-      x_slope.resize(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x_slope[i] = (x[i] - x_prev[i]) / dt;
-      }
-      have_slope = true;
-    }
-    x_prev = x;
+    // LTE over the FULL MNA vector, source branch currents included: the
+    // post-edge current spikes set the average input power (efficiency).
+    if (!stepper.try_accept(x, x)) continue;
     eng.commit_caps(x, geq, ieq);
-    eng.record_sample(ctl.time(), x);
-
-    if (on_edge) {
-      be_left = kBeStartupSteps;
-      ctl.reset_dt(dt_edge_restart);
-    } else if (be_left > 0) {
-      --be_left;
-    }
+    eng.record_sample(stepper.time(), x);
+    // Trapezoidal history is invalid across a switch edge.
+    if (stepper.ended_on_event()) stepper.restart();
   }
 
-  ctl.finalize();
-  eng.result.report = ctl.report();
+  eng.result.report = stepper.finalize();
   eng.publish_counters();
   return eng.result;
 }

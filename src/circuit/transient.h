@@ -10,10 +10,13 @@
 // dt) also reuses the factorization per (switch pattern, scheme); adaptive
 // mode never repeats a dt, so it factors every step and caches nothing.
 //
-// Adaptive mode drives the shared sim::StepController: local-truncation-
-// error controlled step selection with rejection/halving/exponential
-// grow-back, and steps clamped so every clocked-switch edge is hit exactly
-// -- the time step no longer needs to divide the clock period.  Fixed mode
+// Adaptive mode runs the one adaptive step loop shared with the PDN engines,
+// sim::AdaptiveStepper: local-truncation-error control over the full MNA
+// vector with rejection/halving/exponential grow-back, a dt_max/256 restart
+// after every switch edge, and steps clamped so every clocked-switch edge is
+// hit exactly -- the time step no longer needs to divide the clock period.
+// The engine's recovery events (DC initialization, gmin shifts) land in the
+// run's report in both modes.  Fixed mode
 // keeps the historical uniform grid (and now DIAGNOSES a step that does not
 // divide the period instead of silently skewing switch timing).
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <utility>
 
 #include "common/error.h"
 #include "pdn/transient_core.h"
@@ -272,7 +271,7 @@ RideThroughResult simulate_ride_through(
   std::vector<double> layer_droop(cfg.layer_count, 0.0);
   std::vector<bool> layer_down(cfg.layer_count, false);
 
-  detail::AdaptiveStepper stepper(ws, solver, topt, std::move(x));
+  sim::AdaptiveStepper stepper = detail::make_stepper(topt);
   sim::TransientReport& trail = stepper.report();
   while (stepper.running()) {
     const double t = stepper.time();
@@ -299,7 +298,7 @@ RideThroughResult simulate_ride_through(
     // 2. Sensing plane: the supervisor samples the live solution at every
     // elapsed sense tick; its actions mutate the network / loads.
     while (t >= next_sense - event_tol) {
-      ws.worst_noise_of(stepper.solution(), &layer_droop);
+      ws.worst_noise_of(x, &layer_droop);
       for (std::size_t l = 0; l < layer_down.size(); ++l) {
         if (layer_down[l]) layer_droop[l] = 0.0;  // off rails are not sensed
       }
@@ -326,16 +325,17 @@ RideThroughResult simulate_ride_through(
     if (discontinuity) stepper.restart();
 
     // 3. One integration step.
-    if (stepper.step(live_loads, schedule.next_after(t))) {
+    if (ws.adaptive_step(stepper, solver, live_loads, schedule.next_after(t),
+                         x)) {
       result.time.push_back(stepper.time());
-      result.worst_noise.push_back(ws.worst_noise_of(stepper.solution()));
+      result.worst_noise.push_back(ws.worst_noise_of(x));
       result.supply_current.push_back(ws.supply_inductor_current());
     }
   }
-  rep.transient = stepper.finish();
+  rep.transient = stepper.finalize();
 
   // Final droop over the rails still alive.
-  ws.worst_noise_of(stepper.solution(), &layer_droop);
+  ws.worst_noise_of(x, &layer_droop);
   double final_droop = 0.0;
   for (std::size_t l = 0; l < layer_droop.size(); ++l) {
     if (!layer_down[l]) final_droop = std::max(final_droop, layer_droop[l]);

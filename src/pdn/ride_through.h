@@ -1,10 +1,11 @@
 // Live fault ride-through: a transient PDN run with mid-run fault events
 // and the sc::StackSupervisor in the loop.
 //
-// The engine integrates the stacked (or regular) PDN with the adaptive
-// stepper pdn::simulate_load_step's adaptive mode runs -- same companion
-// models, same epoch-keyed step solver, same guard/budget discipline -- but
-// adds a sensing plane: every supervisor sense_interval the per-layer worst droop
+// The engine integrates the stacked (or regular) PDN on sim::AdaptiveStepper,
+// stepped exactly as pdn::simulate_load_step's adaptive mode steps -- same
+// companion models, same epoch-keyed step solver, same capacitor-voltage LTE,
+// same dt_max/16 restart step, same guard/budget discipline -- but adds a
+// sensing plane: every supervisor sense_interval the per-layer worst droop
 // is sampled from the live solution and fed to the supervisor, whose
 // abstract actions are translated into network mutations:
 //

@@ -154,7 +154,7 @@ PdnTransientResult simulate_load_step(
       if (!solver.solve(h, /*be=*/false, rhs, x, t_new, report, diagnostic)) {
         report.status = sim::TransientStatus::SolverFailure;
         report.diagnostic = "transient PDN step failed at t = " +
-                            std::to_string(t_new) + " s: " + diagnostic;
+                            sim::format_g(t_new) + " s: " + diagnostic;
         break;
       }
       ws.commit_states(x, h, /*be=*/false);
@@ -171,7 +171,7 @@ PdnTransientResult simulate_load_step(
     schedule.add_time(options.step_time);
     for (const auto& ev : options.fault_events) schedule.add_time(ev.time);
 
-    detail::AdaptiveStepper stepper(ws, solver, options, std::move(x));
+    sim::AdaptiveStepper stepper = detail::make_stepper(options);
     while (stepper.running()) {
       const double t = stepper.time();
       // Events whose instant the controller just landed on (or, on the
@@ -183,11 +183,14 @@ PdnTransientResult simulate_load_step(
       if (apply_events_through(t, event_tol, stepper.report())) {
         stepper.restart();
       }
-      if (!stepper.step(*live_loads, schedule.next_after(t))) continue;
-      record_sample(stepper.time(), stepper.solution());
+      if (!ws.adaptive_step(stepper, solver, *live_loads,
+                            schedule.next_after(t), x)) {
+        continue;
+      }
+      record_sample(stepper.time(), x);
       if (stepper.ended_on_event()) stepper.restart();
     }
-    result.report = stepper.finish();
+    result.report = stepper.finalize();
   }
 
   result.final_noise =

@@ -10,12 +10,13 @@
 // systems are factorized once per distinct (dt, scheme) with the
 // RCM-reordered skyline Cholesky, larger ones use warm-started CG.
 //
-// Robustness (shared sim::StepController core, same discipline as
-// circuit/transient.h): optional LTE-controlled adaptive stepping that hits
-// the load-step instant exactly, NaN/overflow guards on every candidate
-// solution, linear solves that escalate through la::Solver's degradation
-// ladder instead of throwing, and hard step / wall-clock budgets.  Callers
-// check PdnTransientResult::report instead of catching exceptions.
+// Robustness (the one adaptive step loop, sim::AdaptiveStepper, that
+// circuit/transient.h also runs): optional LTE-controlled adaptive stepping
+// that hits the load-step instant exactly, NaN/overflow guards on every
+// candidate solution, linear solves that escalate through la::Solver's
+// degradation ladder instead of throwing, and hard step / wall-clock
+// budgets.  Callers check PdnTransientResult::report instead of catching
+// exceptions.
 //
 // The headline result it enables: voltage stacking draws ~N times less
 // off-chip current, so the L*di/dt droop of a full-power step is far

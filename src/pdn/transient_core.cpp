@@ -69,7 +69,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
       return true;
     }
     report.record_event(t, "warm-started CG stalled (residual " +
-                               std::to_string(r.residual_norm) +
+                               sim::format_g(r.residual_norm) +
                                "); escalating through the solver ladder");
   }
   // Final rung: the full non-throwing escalation ladder from PR 1.  Slots
@@ -144,7 +144,7 @@ void StepSolver::factor(Slot& slot, double h, double t,
       slot.direct = std::make_unique<la::ReorderedCholesky>(slot.matrix);
     } catch (const Error&) {
       report.record_event(t, "skyline Cholesky factorization failed for "
-                             "dt = " + std::to_string(h) +
+                             "dt = " + sim::format_g(h) +
                              " s; using the iterative ladder");
     }
   }
@@ -351,6 +351,36 @@ void TransientWorkspace::commit_states(const la::Vector& sol, double h,
   lgnd_i_ = j_lgnd + g_l * lgnd_v_;
 }
 
+bool TransientWorkspace::adaptive_step(sim::AdaptiveStepper& stepper,
+                                       StepSolver& solver,
+                                       const std::vector<LoadInjection>& loads,
+                                       double next_event, la::Vector& x) {
+  const double t = stepper.time();
+  const double dt = stepper.begin(next_event);
+  if (!stepper.running()) return false;
+  const bool be = stepper.backward_euler();
+  rhs_.resize(sys_.n);
+  build_rhs(loads, dt, be, rhs_);
+  candidate_ = x;  // warm start; x stays the last accepted solution
+  std::string diagnostic;
+  if (!solver.solve(dt, be, rhs_, candidate_, t, stepper.report(),
+                    diagnostic)) {
+    stepper.reject("linear solve failure");
+    return false;
+  }
+  cap_new_.resize(cap_v_.size());
+  for (std::size_t l = 0; l < layer_count_; ++l) {
+    for (std::size_t cell = 0; cell < cells_; ++cell) {
+      cap_new_[l * cells_ + cell] = candidate_[net_.vdd_node(l, cell)] -
+                                    candidate_[net_.gnd_node(l, cell)];
+    }
+  }
+  if (!stepper.try_accept(candidate_, cap_new_)) return false;
+  commit_states(candidate_, dt, be);
+  x.swap(candidate_);
+  return true;
+}
+
 double TransientWorkspace::nominal(std::size_t layer, bool vdd_net) const {
   const StackupConfig& cfg = net_.config();
   const double gnd = cfg.is_voltage_stacked()
@@ -381,77 +411,10 @@ double TransientWorkspace::worst_noise_of(const la::Vector& sol,
   return worst / vdd;
 }
 
-AdaptiveStepper::AdaptiveStepper(TransientWorkspace& ws, StepSolver& solver,
-                                 const PdnTransientOptions& options,
-                                 la::Vector x0)
-    : ws_(ws),
-      solver_(solver),
-      options_(options),
-      dt_max_(std::min(options.time_step, options.duration)),
-      ctl_(options.control, 0.0, options.duration, dt_max_ / 8.0, dt_max_),
-      x_(std::move(x0)),
-      candidate_(x_),
-      rhs_(x_.size(), 0.0),
-      cap_slope_(ws.cap_voltages().size(), 0.0),
-      v_new_(cap_slope_.size(), 0.0),
-      v_pred_(cap_slope_.size(), 0.0) {}
-
-void AdaptiveStepper::restart() {
-  be_left_ = kBeStartupSteps;
-  ctl_.reset_dt(dt_max_ / 16.0);
-}
-
-bool AdaptiveStepper::step(const std::vector<LoadInjection>& loads,
-                           double next_event) {
-  const double t = ctl_.time();
-  const double dt = ctl_.begin_step(next_event);
-  if (ctl_.failed()) return false;
-  const bool be = be_left_ > 0;
-  ws_.build_rhs(loads, dt, be, rhs_);
-  candidate_ = x_;  // warm start; x_ stays the last accepted solution
-  std::string diagnostic;
-  if (!solver_.solve(dt, be, rhs_, candidate_, t, ctl_.report(),
-                     diagnostic)) {
-    ctl_.reject_step("linear solve failure");
-    return false;
-  }
-  if (!sim::finite_and_bounded(candidate_)) {
-    ctl_.reject_step("NaN/overflow guard");
-    return false;
-  }
-  // LTE estimate on the capacitor voltages: a linear predictor from the
-  // last accepted step's slope, skipped during backward-Euler startup.
-  const PdnNetwork& net = ws_.network();
-  const auto& cap_v = ws_.cap_voltages();
-  for (std::size_t l = 0; l < ws_.layer_count(); ++l) {
-    for (std::size_t cell = 0; cell < ws_.cells(); ++cell) {
-      const std::size_t k = l * ws_.cells() + cell;
-      v_new_[k] = candidate_[net.vdd_node(l, cell)] -
-                  candidate_[net.gnd_node(l, cell)];
-    }
-  }
-  double err = 0.0;
-  if (!be) {
-    for (std::size_t k = 0; k < cap_v.size(); ++k) {
-      v_pred_[k] = cap_v[k] + cap_slope_[k] * dt;
-    }
-    err = sim::error_norm(v_new_, v_pred_, options_.control.rel_tol,
-                          options_.control.abs_tol);
-  }
-  if (!ctl_.finish_step(err, be ? 1 : 2)) return false;
-
-  for (std::size_t k = 0; k < cap_v.size(); ++k) {
-    cap_slope_[k] = (v_new_[k] - cap_v[k]) / dt;
-  }
-  ws_.commit_states(candidate_, dt, be);
-  x_ = candidate_;
-  if (be_left_ > 0) --be_left_;
-  return true;
-}
-
-const sim::TransientReport& AdaptiveStepper::finish() {
-  ctl_.finalize();
-  return ctl_.report();
+sim::AdaptiveStepper make_stepper(const PdnTransientOptions& options) {
+  const double dt_max = std::min(options.time_step, options.duration);
+  return sim::AdaptiveStepper(options.control, options.duration, dt_max,
+                              dt_max / 16.0);
 }
 
 bool apply_fault_event(const TimedFaultEvent& event, PdnNetwork& net,

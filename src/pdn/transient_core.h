@@ -1,8 +1,8 @@
 // Shared internals of the PDN transient engines (pdn/transient.cpp and
 // pdn/ride_through.cpp): the timestep-independent split system, the
-// epoch-keyed per-(dt, scheme) step solver, the companion-state workspace,
-// the adaptive stepper both engines run, and mid-run fault-event
-// application.
+// epoch-keyed per-(dt, scheme) step solver, the companion-state workspace
+// with the one adaptive PDN step both engines hand to sim::AdaptiveStepper,
+// and mid-run fault-event application.
 //
 // Everything here operates on a PdnNetwork the caller owns (the engines copy
 // the model's network so mid-run fault events never mutate caller state).
@@ -131,13 +131,8 @@ class TransientWorkspace {
   TransientWorkspace(const PdnNetwork& net,
                      const PdnTransientOptions& options);
 
-  const PdnNetwork& network() const { return net_; }
   const SplitSystem& system() const { return sys_; }
   std::size_t n() const { return sys_.n; }
-  std::size_t lvdd_mid() const { return lvdd_mid_; }
-  std::size_t lgnd_mid() const { return lgnd_mid_; }
-  std::size_t layer_count() const { return layer_count_; }
-  std::size_t cells() const { return cells_; }
 
   /// Reassemble the split system and its sparsity pattern from the
   /// network's CURRENT conductor and converter lists and stamp it with the
@@ -166,9 +161,15 @@ class TransientWorkspace {
   /// Current through the supply-side package inductor [A].
   double supply_inductor_current() const { return lvdd_i_; }
 
-  /// Capacitor voltage states (one per (layer, cell)); read by the adaptive
-  /// engines' LTE predictor.
-  const std::vector<double>& cap_voltages() const { return cap_v_; }
+  /// Attempt one step of `stepper` from the last accepted solution `x`
+  /// with `loads` (the loads in force at the step's start) toward
+  /// `next_event`: build the companion RHS, warm-start the solve from `x`,
+  /// and let the stepper judge the candidate, with the LTE on the capacitor
+  /// voltages.  On acceptance commits the companion states and moves the
+  /// candidate into `x`.  Returns whether the step was accepted.
+  bool adaptive_step(sim::AdaptiveStepper& stepper, StepSolver& solver,
+                     const std::vector<LoadInjection>& loads,
+                     double next_event, la::Vector& x);
 
  private:
   double nominal(std::size_t layer, bool vdd_net) const;
@@ -187,66 +188,15 @@ class TransientWorkspace {
   double lgnd_i_ = 0.0;
   double lvdd_v_ = 0.0;
   double lgnd_v_ = 0.0;
-};
-
-/// The adaptive LTE-controlled step loop of both PDN engines.  Owns the
-/// step controller, the backward-Euler startup counter, the capacitor-
-/// voltage LTE predictor, and the accepted solution; the caller owns the
-/// timeline, the loads, and the restart policy:
-///
-///   AdaptiveStepper stepper(ws, solver, options, std::move(x0));
-///   while (stepper.running()) {
-///     // apply what is due at stepper.time(); restart() on a discontinuity
-///     if (stepper.step(loads, schedule.next_after(stepper.time()))) {
-///       // record a sample of stepper.solution()
-///     }
-///   }
-///   report = stepper.finish();
-class AdaptiveStepper {
- public:
-  /// `x0` is the initial solution; `ws` must hold the matching companion
-  /// states (TransientWorkspace::init_states).
-  AdaptiveStepper(TransientWorkspace& ws, StepSolver& solver,
-                  const PdnTransientOptions& options, la::Vector x0);
-
-  bool running() const { return !ctl_.done() && !ctl_.failed(); }
-  double time() const { return ctl_.time(); }
-  /// The last accepted solution.
-  const la::Vector& solution() const { return x_; }
-  sim::TransientReport& report() { return ctl_.report(); }
-
-  /// The integration history is invalid across a discontinuity: take
-  /// backward-Euler startup steps again, from a reduced dt.
-  void restart();
-
-  /// Attempt one step from time() toward `next_event` with `loads` (the
-  /// loads in force at the step's start): solve, NaN/overflow guard, LTE
-  /// check and, when accepted, commit the companion states and solution.
-  /// Returns whether the step was accepted.
-  bool step(const std::vector<LoadInjection>& loads, double next_event);
-
-  /// True when the last accepted step ended on the event passed to step().
-  bool ended_on_event() const { return ctl_.ends_on_event(); }
-
-  /// Finalize the controller (wall time, telemetry) and return its report.
-  const sim::TransientReport& finish();
-
- private:
-  static constexpr int kBeStartupSteps = 2;
-
-  TransientWorkspace& ws_;
-  StepSolver& solver_;
-  const PdnTransientOptions& options_;
-  double dt_max_ = 0.0;
-  sim::StepController ctl_;
-  int be_left_ = kBeStartupSteps;
-  la::Vector x_;
-  la::Vector candidate_;  // warm start, then the step's solution
+  // adaptive_step scratch: RHS, candidate solution, its capacitor voltages.
   la::Vector rhs_;
-  std::vector<double> cap_slope_;  // per cap, from the last accepted step
-  std::vector<double> v_new_;
-  std::vector<double> v_pred_;
+  la::Vector candidate_;
+  std::vector<double> cap_new_;
 };
+
+/// The adaptive stepper of both PDN engines: steps of at most
+/// min(time_step, duration), restarting at a sixteenth of that.
+sim::AdaptiveStepper make_stepper(const PdnTransientOptions& options);
 
 /// Apply one TimedFaultEvent at time `t`: record its load surge (the caller
 /// swaps in the new loads), apply its faults to `net`, and rebuild `ws`'s

@@ -1,20 +1,16 @@
 #include "pgio/netlist.h"
 
 #include "common/error.h"
+#include "core/campaign_manifest.h"
 
 namespace vstack::pgio {
 
 NodeTable::NodeTable() : offsets_{0}, buckets_(64, 0) {}
 
 std::uint64_t NodeTable::hash(std::string_view s) {
-  // FNV-1a; matches the repo's other stable hashes and is deterministic
-  // across platforms.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  core::Fnv1a h;
+  h.bytes(s.data(), s.size());
+  return h.h;
 }
 
 void NodeTable::reserve(std::size_t nodes, std::size_t bytes) {

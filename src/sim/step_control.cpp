@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "common/error.h"
@@ -179,9 +180,9 @@ bool StepController::finish_step(double err_norm, int order) {
   if (dt_ < opts_.dt_min ||
       consecutive_rejections_ > opts_.max_rejections_per_step) {
     fail(TransientStatus::StepCollapse,
-         "timestep collapsed below " + std::to_string(opts_.dt_min) +
-             " s at t = " + std::to_string(t_) +
-             " s after " + std::to_string(consecutive_rejections_) +
+         "timestep collapsed below " + format_g(opts_.dt_min) +
+             " s at t = " + format_g(t_) + " s after " +
+             std::to_string(consecutive_rejections_) +
              " consecutive rejections");
   }
   return false;
@@ -195,15 +196,14 @@ void StepController::reject_step(const char* kind) {
     ++report_.solver_rejections;
   }
   ++consecutive_rejections_;
-  report_.record_event(t_, std::string(kind) + " at dt = " +
-                               std::to_string(dt_) + " s; step rejected");
+  report_.record_event(t_, std::string(kind) + " at dt = " + format_g(dt_) +
+                               " s; step rejected");
   dt_ *= 0.5;
   if (dt_ < opts_.dt_min ||
       consecutive_rejections_ > opts_.max_rejections_per_step) {
     fail(TransientStatus::SolverFailure,
-         std::string(kind) + " persisted down to dt = " +
-             std::to_string(dt_) + " s at t = " + std::to_string(t_) +
-             " s; giving up");
+         std::string(kind) + " persisted down to dt = " + format_g(dt_) +
+             " s at t = " + format_g(t_) + " s; giving up");
   }
 }
 
@@ -225,6 +225,51 @@ void StepController::finalize() {
   record_transient_telemetry(report_, wall_start_s_);
 }
 
+AdaptiveStepper::AdaptiveStepper(const StepControlOptions& options,
+                                 double t_end, double dt_max,
+                                 double restart_dt)
+    : ctl_(options, 0.0, t_end, dt_max / 8.0, dt_max),
+      rel_tol_(options.rel_tol),
+      abs_tol_(options.abs_tol),
+      restart_dt_(restart_dt) {}
+
+bool AdaptiveStepper::try_accept(const std::vector<double>& candidate,
+                                 const std::vector<double>& lte_state) {
+  if (!finite_and_bounded(candidate)) {
+    ctl_.reject_step("NaN/overflow guard");
+    return false;
+  }
+  const double dt = ctl_.dt();
+  const bool be = backward_euler();
+  // No LTE check on BE steps: the slope across a discontinuity is
+  // meaningless, and the small restart step covers accuracy.
+  double err = 0.0;
+  if (!be) {
+    pred_.resize(lte_state.size());
+    for (std::size_t i = 0; i < lte_state.size(); ++i) {
+      pred_[i] = prev_[i] + slope_[i] * dt;
+    }
+    err = error_norm(lte_state, pred_, rel_tol_, abs_tol_);
+  }
+  if (!ctl_.finish_step(err, be ? 1 : 2)) return false;
+
+  if (!prev_.empty()) {
+    slope_.resize(lte_state.size());
+    for (std::size_t i = 0; i < lte_state.size(); ++i) {
+      slope_[i] = (lte_state[i] - prev_[i]) / dt;
+    }
+  }
+  prev_ = lte_state;
+  if (be_left_ > 0) --be_left_;
+  return true;
+}
+
+std::string format_g(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", value);
+  return buf;
+}
+
 bool budget_exhausted(const StepControlOptions& options, std::size_t steps,
                       double wall_start_s, double t, TransientReport& report) {
   std::string why;
@@ -234,16 +279,15 @@ bool budget_exhausted(const StepControlOptions& options, std::size_t steps,
   } else if (options.wall_clock_budget_s > 0.0 &&
              monotonic_seconds() - wall_start_s >
                  options.wall_clock_budget_s) {
-    why = "wall-clock budget of " +
-          std::to_string(options.wall_clock_budget_s) + " s exhausted";
+    why = "wall-clock budget of " + format_g(options.wall_clock_budget_s) +
+          " s exhausted";
   } else if (options.deadline.expired()) {
     why = "deadline expired (cancelled)";
   } else {
     return false;
   }
   report.status = TransientStatus::BudgetExhausted;
-  report.diagnostic =
-      why + " at t = " + std::to_string(t) + " s; result truncated";
+  report.diagnostic = why + " at t = " + format_g(t) + " s; result truncated";
   return true;
 }
 

@@ -1,7 +1,8 @@
 // Shared adaptive-transient core used by the switch-level circuit engine
-// (circuit/transient.h) and the PDN transient solver (pdn/transient.h).
+// (circuit/transient.h) and the PDN transient solvers (pdn/transient.h,
+// pdn/ride_through.h).
 //
-// Three pieces live here:
+// Four pieces live here:
 //
 //  * StepController -- local-truncation-error driven timestep selection with
 //    step rejection, halving, exponential grow-back, exact clamping onto
@@ -10,6 +11,9 @@
 //    clock but share its budget check (budget_exhausted) and close with
 //    finalize_fixed_run, so budgets and reporting are identical in both
 //    modes.
+//
+//  * AdaptiveStepper -- the one adaptive step loop every engine runs on the
+//    controller (BE startup, guard, LTE predictor, restarts).
 //
 //  * TransientReport -- the structured outcome callers check INSTEAD of
 //    catching exceptions: accepted/rejected step counts, dt range, LTE
@@ -122,15 +126,8 @@ bool budget_exhausted(const StepControlOptions& options, std::size_t steps,
 void finalize_fixed_run(TransientReport& report, double h,
                         double wall_start_s);
 
-/// Timestep state machine.  Usage per step:
-///
-///   double dt = ctl.begin_step(next_event_time);
-///   if (ctl.failed()) break;            // budget / collapse -- truncated
-///   ... assemble, solve with dt ...
-///   if (guard fails)  { ctl.reject_step(t, "why"); continue; }
-///   if (ctl.finish_step(err_norm, order)) { commit state; }
-///
-/// Rejected steps leave time unchanged, so callers simply do not commit.
+/// Timestep state machine driven by AdaptiveStepper: begin_step, then
+/// reject_step or finish_step.  Rejected steps leave time unchanged.
 class StepController {
  public:
   /// `dt_init`/`dt_max` bound the adaptive step; passing dt_init == dt_max
@@ -168,7 +165,6 @@ class StepController {
   void reset_dt(double dt);
 
   TransientReport& report() { return report_; }
-  const TransientReport& report() const { return report_; }
 
   /// Stamp wall_seconds and, if the run ended early without a recorded
   /// failure, finalize the status/diagnostic fields.
@@ -190,6 +186,85 @@ class StepController {
   double wall_start_s_ = 0.0;  // monotonic clock at construction
   TransientReport report_;
 };
+
+/// The adaptive step loop of every transient engine.  Owns the controller,
+/// the backward-Euler startup counter, the restart step and the LTE
+/// predictor history (last accepted state and its slope); the engine solves
+/// each step and commits what was accepted:
+///
+///   AdaptiveStepper stepper(options, t_end, dt_max, restart_dt);
+///   while (stepper.running()) {
+///     // apply what is due at stepper.time(); restart() on a discontinuity
+///     const double dt = stepper.begin(next_event);
+///     if (!stepper.running()) break;             // budget exhausted
+///     solve a step of dt, backward Euler if stepper.backward_euler()
+///     if (solve failed) { stepper.reject("why"); continue; }
+///     if (!stepper.try_accept(x, lte_state)) continue;
+///     commit states, record a sample
+///   }
+///   report = stepper.finalize();
+///
+/// `lte_state` is what the error is measured on (the circuit passes its MNA
+/// vector twice, the PDN its capacitor voltages).  Steps do not allocate.
+class AdaptiveStepper {
+ public:
+  /// BE steps after the start and every restart(): each trapezoidal step
+  /// follows two accepted steps, so its predictor slope is always set.
+  static constexpr int kBeStartupSteps = 2;
+
+  /// Integrates [0, t_end] in steps of at most `dt_max`, the first
+  /// dt_max / 8; restart() caps the next step at `restart_dt`.
+  AdaptiveStepper(const StepControlOptions& options, double t_end,
+                  double dt_max, double restart_dt);
+
+  bool running() const { return !ctl_.done() && !ctl_.failed(); }
+  double time() const { return ctl_.time(); }
+  bool backward_euler() const { return be_left_ > 0; }
+
+  /// Propose the next step toward `next_event` (infinity: none) and return
+  /// its size; on budget exhaustion running() turns false.
+  double begin(double next_event) { return ctl_.begin_step(next_event); }
+
+  /// Reject the step for a solve failure named `kind` in the event trail.
+  void reject(const char* kind) { ctl_.reject_step(kind); }
+
+  /// Reject the step when `candidate` fails the NaN/overflow guard or the
+  /// LTE of `lte_state` exceeds the tolerance; else advance time and the
+  /// predictor history.  Returns whether the step was accepted.
+  bool try_accept(const std::vector<double>& candidate,
+                  const std::vector<double>& lte_state);
+
+  /// True when the last begun step ends on the event passed to begin().
+  bool ended_on_event() const { return ctl_.ends_on_event(); }
+
+  /// Integration history is invalid across a discontinuity: take BE
+  /// startup steps again, from at most the restart step.
+  void restart() {
+    be_left_ = kBeStartupSteps;
+    ctl_.reset_dt(restart_dt_);
+  }
+
+  TransientReport& report() { return ctl_.report(); }
+  /// Stamp wall time and telemetry; returns the run's report.
+  const TransientReport& finalize() {
+    ctl_.finalize();
+    return ctl_.report();
+  }
+
+ private:
+  StepController ctl_;
+  double rel_tol_ = 0.0;
+  double abs_tol_ = 0.0;
+  double restart_dt_ = 0.0;
+  int be_left_ = kBeStartupSteps;
+  std::vector<double> prev_;   // LTE state of the last accepted step
+  std::vector<double> slope_;  // its slope over that step
+  std::vector<double> pred_;   // scratch: the predicted LTE state
+};
+
+/// `value` printed %g-style, for times in trails and diagnostics
+/// (std::to_string prints 1e-16 as 0.000000).
+std::string format_g(double value);
 
 /// Max-norm LTE estimate: |value - predicted| normalized per entry by
 /// (abs_tol + rel_tol * |value|).  Sizes must match.

@@ -398,11 +398,9 @@ TEST(TransientTest, WaveformAccessorsReadRowsAndRejectBadIndices) {
   EXPECT_THROW(TransientResult{}.node_voltage(0, kGround), Error);
 }
 
-TEST(TransientTest, FixedModeGminEventOncePerPatternAndScheme) {
-  // A node with no element at all makes every step matrix singular; the
-  // gmin ladder factors it.  Fixed mode reuses each (switch pattern,
-  // scheme) factorization, so the trail records one gmin event per
-  // pattern and scheme: two phases x (backward Euler, trapezoidal).
+/// A switched RC with a node that has no element at all: every step matrix
+/// (and the DC matrix) is singular, and the gmin ladder factors it.
+Netlist dangling_node_netlist() {
   Netlist net;
   const NodeId vin = net.create_node("vin");
   const NodeId out = net.create_node("out");
@@ -411,18 +409,54 @@ TEST(TransientTest, FixedModeGminEventOncePerPatternAndScheme) {
   net.add_switch(vin, out, 10.0, 1e9, ClockPhase{0.0, 0.5});
   net.add_resistor(out, kGround, 1e4);
   net.add_capacitor(out, kGround, 1e-9, 0.0);
+  return net;
+}
 
+std::size_t gmin_events(const sim::TransientReport& report) {
+  std::size_t n = 0;
+  for (const auto& ev : report.events) {
+    if (ev.what.find("gmin shift 1e-12") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+TEST(TransientTest, FixedModeGminEventOncePerPatternAndScheme) {
+  // Fixed mode reuses each (switch pattern, scheme) factorization, so the
+  // trail records one gmin event per pattern and scheme: two phases x
+  // (backward Euler, trapezoidal).
+  const Netlist net = dangling_node_netlist();
   TransientSimulator sim(net, 1e-6);
   TransientOptions opts;
   opts.stop_time = 5e-6;
   opts.time_step = 1e-8;
   const TransientResult r = sim.run(opts);
   ASSERT_TRUE(r.ok()) << r.report.summary();
-  std::size_t gmin_events = 0;
-  for (const auto& ev : r.report.events) {
-    if (ev.what.find("gmin shift 1e-12") != std::string::npos) ++gmin_events;
+  EXPECT_EQ(gmin_events(r.report), 4u);
+}
+
+TEST(TransientTest, AdaptiveModeKeepsTheEngineRecoveryEvents) {
+  // The engine's own recovery events -- the DC initialization's gmin
+  // recovery and the gmin-shifted step factorizations -- belong in the
+  // report of the run it serves, in adaptive mode as in fixed mode.
+  const Netlist net = dangling_node_netlist();
+  TransientSimulator sim(net, 1e-6);
+  for (const SteppingMode mode :
+       {SteppingMode::Fixed, SteppingMode::Adaptive}) {
+    TransientOptions opts;
+    opts.stop_time = 5e-6;
+    opts.time_step = 1e-8;
+    opts.start_from_dc = true;
+    opts.mode = mode;
+    const TransientResult r = sim.run(opts);
+    ASSERT_TRUE(r.ok()) << r.report.summary();
+    ASSERT_FALSE(r.report.events.empty());
+    EXPECT_EQ(r.report.events.front().time, 0.0);
+    EXPECT_NE(r.report.events.front().what.find(
+                  "DC initialization recovered via"),
+              std::string::npos)
+        << r.report.events.front().what;
+    EXPECT_GT(gmin_events(r.report), 0u);
   }
-  EXPECT_EQ(gmin_events, 4u);
 }
 
 #if VSTACK_TELEMETRY_ENABLED

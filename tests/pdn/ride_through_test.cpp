@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
@@ -189,6 +191,26 @@ TEST(RideThroughTest, ValidationRejectsBrokenPolicies) {
   o = fast_options(0.0, 300e-9);
   o.max_rebalance_boost = 0.5;  // would WEAKEN surviving phases
   EXPECT_THROW(simulate_ride_through(model, cpm(), imbalanced(2), o), Error);
+}
+
+TEST(RideThroughTest, StepCountsArePinned) {
+  // Bitwise fingerprint of the adaptive ride-through path on a run whose
+  // supervisor escalates through the whole ladder (rebalance, retarget,
+  // bypass, shutdown): every topology rebuild and BE restart is on it.
+  // Recorded on x86-64 (SSE2 double arithmetic, no FMA contraction); a
+  // change that is meant to move results must re-record them and say so.
+  PdnModel model(stacked(4), paper_fp());
+  const auto o = with_fault(model, 1, 2, 100e-9, 900e-9);
+  const auto r = simulate_ride_through(model, cpm(), imbalanced(4), o);
+  ASSERT_TRUE(r.report.ok()) << r.report.transient.diagnostic;
+  ASSERT_EQ(r.report.actions.back().kind,
+            sc::SupervisorActionKind::LayerShutdown);
+  EXPECT_EQ(r.report.transient.accepted_steps, 2167u);
+  EXPECT_EQ(r.report.transient.rejected_steps, 28u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.report.worst_droop),
+            0x3fe1748bb45d5232u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.report.final_droop),
+            0x3fb3245d11e31850u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "floorplan/floorplan.h"
@@ -235,6 +237,28 @@ TEST(PdnTransientTest, FixedModeHonorsAnExpiredDeadline) {
   EXPECT_TRUE(r.time.empty());
   EXPECT_EQ(r.report.accepted_steps, 0u);
   EXPECT_EQ(r.report.min_dt, 0.0);
+}
+
+TEST(PdnTransientTest, AdaptiveStepCountsArePinned) {
+  // Bitwise fingerprint of the adaptive PDN path (split-system assembly,
+  // step solver, capacitor-voltage LTE predictor, BE restarts, step
+  // selection) across a load step and one mid-run converter fault: a
+  // changed bit anywhere moves these values.  Recorded on x86-64 (SSE2
+  // double arithmetic, no FMA contraction); a change that is meant to move
+  // results must re-record them and say so.
+  PdnModel model(small(PdnTopology::VoltageStacked, 2), paper_fp());
+  PdnTransientOptions o = fast_options();
+  o.adaptive = true;
+  TimedFaultEvent ev;
+  ev.time = 37.3e-9;
+  stick_off_converter_bank(ev.faults, model.network(), 1, 4);
+  ev.label = "pinned-fault";
+  o.fault_events.push_back(ev);
+  const auto r = simulate_load_step(model, cpm(), {1.0, 0.2}, {0.3, 1.0}, o);
+  ASSERT_TRUE(r.ok()) << r.report.summary();
+  EXPECT_EQ(r.report.accepted_steps, 654u);
+  EXPECT_EQ(r.report.rejected_steps, 13u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.peak_noise), 0x3fe0ec35c7211888u);
 }
 
 }  // namespace

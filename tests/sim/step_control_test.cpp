@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 
@@ -132,6 +134,30 @@ TEST(StepControllerTest, RepeatedRejectionCollapsesWithDiagnostic) {
   EXPECT_GT(ctl.report().solver_rejections, 0u);
 }
 
+TEST(StepControllerTest, DiagnosticsPrintTinyTimesWithSignificantDigits) {
+  // Picosecond steps and a 1e-16 s floor must read as such in the trail
+  // and the diagnostic, not as fixed-point zeros.
+  StepControlOptions opts;
+  opts.dt_min = 1e-16;
+  StepController ctl(opts, 0.0, 1e-9, 1e-12, 1e-12);
+  ctl.begin_step(kInf);
+  ASSERT_TRUE(ctl.finish_step(0.0, 2));
+  ctl.begin_step(kInf);
+  ctl.reject_step("test solver failure");
+  ASSERT_FALSE(ctl.report().events.empty());
+  EXPECT_NE(ctl.report().events.back().what.find("at dt = 1e-12 s"),
+            std::string::npos)
+      << ctl.report().events.back().what;
+  while (!ctl.failed()) {
+    ctl.begin_step(kInf);
+    ctl.finish_step(1e6, 2);
+  }
+  EXPECT_EQ(ctl.report().status, TransientStatus::StepCollapse);
+  const std::string& why = ctl.report().diagnostic;
+  EXPECT_NE(why.find("below 1e-16 s at t = 1e-12 s"), std::string::npos)
+      << why;
+}
+
 TEST(StepControllerTest, StepBudgetTruncatesRun) {
   StepControlOptions opts;
   opts.max_steps = 3;
@@ -167,6 +193,47 @@ TEST(StepControllerTest, ReportTracksDtRange) {
   ASSERT_TRUE(ctl.finish_step(0.0, 2));
   EXPECT_DOUBLE_EQ(ctl.report().min_dt, 0.01);
   EXPECT_DOUBLE_EQ(ctl.report().max_dt, 0.25);
+}
+
+TEST(AdaptiveStepperTest, BackwardEulerStartupAfterStartAndRestart) {
+  AdaptiveStepper stepper(default_opts(), 1.0, 0.1, 0.01);
+  const std::vector<double> x{1.0};  // constant state: zero LTE
+  std::vector<bool> schemes;
+  for (int k = 0; k < 4; ++k) {
+    stepper.begin(kInf);
+    schemes.push_back(stepper.backward_euler());
+    ASSERT_TRUE(stepper.try_accept(x, x));
+  }
+  EXPECT_EQ(schemes, (std::vector<bool>{true, true, false, false}));
+  stepper.restart();
+  EXPECT_TRUE(stepper.backward_euler());
+  EXPECT_DOUBLE_EQ(stepper.begin(kInf), 0.01);
+}
+
+TEST(AdaptiveStepperTest, GuardRejectsANonFiniteCandidate) {
+  AdaptiveStepper stepper(default_opts(), 1.0, 0.1, 0.01);
+  stepper.begin(kInf);
+  const std::vector<double> bad{std::nan("")};
+  EXPECT_FALSE(stepper.try_accept(bad, bad));
+  EXPECT_EQ(stepper.report().guard_rejections, 1u);
+  EXPECT_EQ(stepper.time(), 0.0);
+}
+
+TEST(AdaptiveStepperTest, LteRejectsADepartureFromTheLinearPredictor) {
+  // A ramp is predicted exactly from the last accepted slope; a jump off it
+  // is an LTE rejection that leaves time where it was.
+  AdaptiveStepper stepper(default_opts(), 1.0, 0.1, 0.01);
+  for (int k = 0; k < 4; ++k) {
+    const double dt = stepper.begin(kInf);
+    const std::vector<double> ramp{stepper.time() + dt};
+    ASSERT_TRUE(stepper.try_accept(ramp, ramp));
+  }
+  const double t = stepper.time();
+  const double dt = stepper.begin(kInf);
+  const std::vector<double> jump{t + dt + 1.0};
+  EXPECT_FALSE(stepper.try_accept(jump, jump));
+  EXPECT_EQ(stepper.report().lte_rejections, 1u);
+  EXPECT_EQ(stepper.time(), t);
 }
 
 TEST(TransientReportTest, EventTrailIsBounded) {
