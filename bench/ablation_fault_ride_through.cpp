@@ -87,7 +87,7 @@ ComboResult run_combo(const core::StudyContext& ctx,
   ev.faults = combo.stacked ? stacked_fault(model, 3, 32)
                             : regular_fault(model);
   ev.label = combo.stacked ? "converter cluster stuck off" : "TSV die-off";
-  opt.transient.fault_events.push_back(ev);
+  opt.fault_events.push_back(ev);
 
   ComboResult result;
   result.report =

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
+#include "common/units.h"
 
 namespace vstack::circuit {
 
@@ -99,19 +101,15 @@ double parse_spice_value(const std::string& token) {
              "non-finite numeric value '" + token + "'");
   const std::string suffix = lower(token.substr(consumed));
   if (suffix.empty()) return value;
-  if (suffix.rfind("meg", 0) == 0) return value * 1e6;
-  switch (suffix.front()) {
-    case 'f': return value * 1e-15;
-    case 'p': return value * 1e-12;
-    case 'n': return value * 1e-9;
-    case 'u': return value * 1e-6;
-    case 'm': return value * 1e-3;
-    case 'k': return value * 1e3;
-    case 'g': return value * 1e9;
-    case 't': return value * 1e12;
-    default:
-      VS_FAIL("unknown value suffix '" + suffix + "' in '" + token + "'");
+  // SPICE reads only the magnitude letter (or a `meg` prefix); whatever
+  // follows it is a unit name: 10uF, 1megohm.
+  const std::string_view tail = suffix;
+  const double scale = units::spice_magnitude(
+      tail.starts_with("meg") ? tail.substr(0, 3) : tail.substr(0, 1));
+  if (scale == 0.0) {
+    VS_FAIL("unknown value suffix '" + suffix + "' in '" + token + "'");
   }
+  return value * scale;
 }
 
 ParsedCircuit parse_spice(const std::string& text,

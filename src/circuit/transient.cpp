@@ -74,12 +74,14 @@ struct TransientEngine {
   };
 
   /// One switch pattern seen in the run: its base stamp (resistors,
-  /// switches, sources) and, when factors are reused, the step
-  /// factorization per scheme ([0] trapezoidal, [1] backward Euler).
+  /// switches, sources), when factors are reused the step factorization
+  /// per scheme ([0] trapezoidal, [1] backward Euler), and otherwise the
+  /// gmin shift that last factored it (0 while it needed none).
   struct Pattern {
     std::vector<bool> state;
     la::DenseMatrix base;
     std::optional<StepFactor> factor[2];
+    double gmin = 0.0;
   };
 
   const Netlist& netlist;
@@ -162,31 +164,52 @@ struct TransientEngine {
     return patterns.back();
   }
 
-  /// Factor base + capacitor companions into `lu`, escalating through a
-  /// gmin diagonal shift when the direct factorization reports a singular
-  /// matrix (a floating subcircuit behind open switches, for example).
-  /// Returns false on total failure.
-  bool factor_step(const la::DenseMatrix& base, const std::vector<double>& geq,
+  /// Add `gmin` to every node-voltage diagonal entry of `m`.
+  void shift_diagonal(la::DenseMatrix& m, double gmin) const {
+    for (NodeId node = 1; node < netlist.node_count(); ++node) {
+      const std::size_t i = mna.voltage_index(node);
+      m(i, i) += gmin;
+    }
+  }
+
+  /// Factor the pattern's base + capacitor companions into `lu`,
+  /// escalating through a gmin diagonal shift when the direct
+  /// factorization reports a singular matrix (a floating subcircuit behind
+  /// open switches, for example).  A pattern that needed a shift is
+  /// factored at that shift directly, in place, on later (adaptive) steps;
+  /// the ladder, and its trail event, run again only if that shift no
+  /// longer suffices.  Returns false on total failure.
+  bool factor_step(Pattern& pattern, const std::vector<double>& geq,
                    double t, la::DenseLu& lu) {
     ++factorizations;
-    step_matrix = base;
+    step_matrix = pattern.base;
     mna.stamp_capacitors(step_matrix, geq);
+    if (pattern.gmin > 0.0) {
+      shift_diagonal(step_matrix, pattern.gmin);
+      try {
+        lu.refactor(step_matrix);
+        return true;
+      } catch (const Error&) {
+      }
+      step_matrix = pattern.base;
+      mna.stamp_capacitors(step_matrix, geq);
+    }
     try {
       lu.refactor(step_matrix);
+      pattern.gmin = 0.0;
       return true;
     } catch (const Error&) {
     }
     for (const double gmin : {1e-12, 1e-9, 1e-6}) {
       la::DenseMatrix shifted = step_matrix;
-      for (NodeId node = 1; node < netlist.node_count(); ++node) {
-        const std::size_t i = mna.voltage_index(node);
-        shifted(i, i) += gmin;
-      }
+      shift_diagonal(shifted, gmin);
       try {
         lu.refactor(shifted);
       } catch (const Error&) {
         continue;
       }
+      // Fixed mode factors each (pattern, scheme) once and records each.
+      if (!reuse_factors) pattern.gmin = gmin;
       std::ostringstream oss;
       oss << "singular step matrix; factored with gmin shift " << gmin;
       report->record_event(t, oss.str());
@@ -209,11 +232,11 @@ struct TransientEngine {
       } else {
         ++factor_misses;
         slot.emplace();
-        slot->ok = factor_step(pattern.base, geq, t, slot->lu);
+        slot->ok = factor_step(pattern, geq, t, slot->lu);
       }
       if (!slot->ok) return false;
       lu = &slot->lu;
-    } else if (!factor_step(pattern.base, geq, t, step_lu)) {
+    } else if (!factor_step(pattern, geq, t, step_lu)) {
       return false;
     }
     mna.assemble_rhs(ieq, rhs);

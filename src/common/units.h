@@ -6,6 +6,8 @@
 // reviewer can check it against the paper's Table 1 at a glance.
 #pragma once
 
+#include <string_view>
+
 namespace vstack::units {
 
 // Length.
@@ -48,6 +50,25 @@ inline constexpr double mA = 1e-3;
 inline constexpr double uA = 1e-6;
 inline constexpr double W = 1.0;
 inline constexpr double mW = 1e-3;
+
+/// Scale of a SPICE magnitude suffix given in lower case: f p n u m k meg g
+/// t (m is milli, meg is mega); 0 for anything else.  Each netlist grammar
+/// decides which part of a token's tail it passes here.
+constexpr double spice_magnitude(std::string_view suffix) {
+  if (suffix == "meg") return 1e6;
+  if (suffix.size() != 1) return 0.0;
+  switch (suffix.front()) {
+    case 'f': return 1e-15;
+    case 'p': return 1e-12;
+    case 'n': return 1e-9;
+    case 'u': return 1e-6;
+    case 'm': return 1e-3;
+    case 'k': return 1e3;
+    case 'g': return 1e9;
+    case 't': return 1e12;
+    default: return 0.0;
+  }
+}
 
 }  // namespace vstack::units
 

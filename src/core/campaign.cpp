@@ -80,12 +80,12 @@ CampaignScenarioResult CampaignRunner::run_scenario(
   result.scenario_hash = campaign_scenario_hash(scenario, options.fault_time);
 
   pdn::RideThroughOptions rt = options.ride_through;
-  rt.transient.fault_events.clear();
+  rt.fault_events.clear();
   pdn::TimedFaultEvent ev;
   ev.time = options.fault_time;
   ev.faults = scenario.faults;
   ev.label = scenario.label;
-  rt.transient.fault_events.push_back(std::move(ev));
+  rt.fault_events.push_back(std::move(ev));
   if (options.scenario_timeout_s > 0.0) {
     rt.transient.control.wall_clock_budget_s = options.scenario_timeout_s;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "pdn/transient_core.h"
@@ -20,11 +21,16 @@ const char* to_string(RideThroughOutcome outcome) {
 }
 
 void RideThroughOptions::validate() const {
-  // step_time / adaptive are ignored by the ride-through engine; validate
-  // the rest of the transient options without tripping on them.
+  // step_time is ignored by the ride-through engine; validate the rest of
+  // the transient options without tripping on it.
   PdnTransientOptions t = transient;
   t.step_time = 0.0;
   t.validate();
+  for (const auto& ev : fault_events) {
+    VS_REQUIRE(std::isfinite(ev.time), "fault-event time must be finite");
+    VS_REQUIRE(ev.time < transient.duration,
+               "fault-event time must precede the end");
+  }
   supervisor.validate();
   VS_REQUIRE(bypass_resistance > 0.0, "bypass resistance must be positive");
   VS_REQUIRE(max_rebalance_boost >= 1.0,
@@ -244,8 +250,8 @@ RideThroughResult simulate_ride_through(
 
   // Injected fault events, sorted by strike time.
   std::vector<const TimedFaultEvent*> pending;
-  pending.reserve(topt.fault_events.size());
-  for (const auto& ev : topt.fault_events) {
+  pending.reserve(options.fault_events.size());
+  for (const auto& ev : options.fault_events) {
     if (!ev.activities.empty()) {
       VS_REQUIRE(ev.activities.size() == cfg.layer_count,
                  "fault-event activities must match layer count");
@@ -271,26 +277,40 @@ RideThroughResult simulate_ride_through(
   std::vector<double> layer_droop(cfg.layer_count, 0.0);
   std::vector<bool> layer_down(cfg.layer_count, false);
 
-  sim::AdaptiveStepper stepper = detail::make_stepper(topt);
+  // Steps of at most min(time_step, duration), restarting at a sixteenth
+  // of that.
+  const double dt_max = std::min(topt.time_step, topt.duration);
+  sim::AdaptiveStepper stepper(topt.control, topt.duration, dt_max,
+                               dt_max / 16.0);
   sim::TransientReport& trail = stepper.report();
   while (stepper.running()) {
     const double t = stepper.time();
     bool discontinuity = false;
 
-    // 1. Injected fault events whose instant this boundary landed on.  The
-    // surge's loads are built on the pre-fault network.
+    // 1. Injected fault events whose instant this boundary landed on (or,
+    // on the first iteration, events at t <= 0).  The surge's loads are
+    // built on the pre-fault network; the faults then mutate the network
+    // and rebuild the step-matrix topology.
     while (next_pending < pending.size() &&
            pending[next_pending]->time <= t + event_tol) {
       const TimedFaultEvent& ev = *pending[next_pending++];
+      const std::string label = ev.label.empty() ? "fault event" : ev.label;
       if (!ev.activities.empty()) {
         live_activities = ev.activities;
         for (std::size_t l = 0; l < layer_down.size(); ++l) {
           if (layer_down[l]) live_activities[l] = 0.0;
         }
         live_loads = net.build_loads(core_model, live_activities);
+        trail.record_event(t, "load surge '" + label + "' applied");
         discontinuity = true;
       }
-      if (detail::apply_fault_event(ev, net, ws, t, trail)) {
+      if (!ev.faults.empty()) {
+        ev.faults.apply_to(net);
+        ws.rebuild_topology();
+        trail.record_event(t, "fault event '" + label + "' applied (" +
+                                  std::to_string(ev.faults.size()) +
+                                  " faults, topology epoch " +
+                                  std::to_string(net.topology_epoch()) + ")");
         discontinuity = true;
       }
     }

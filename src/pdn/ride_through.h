@@ -1,13 +1,14 @@
 // Live fault ride-through: a transient PDN run with mid-run fault events
 // and the sc::StackSupervisor in the loop.
 //
-// The engine integrates the stacked (or regular) PDN on sim::AdaptiveStepper,
-// stepped exactly as pdn::simulate_load_step's adaptive mode steps -- same
-// companion models, same epoch-keyed step solver, same capacitor-voltage LTE,
-// same dt_max/16 restart step, same guard/budget discipline -- but adds a
-// sensing plane: every supervisor sense_interval the per-layer worst droop
-// is sampled from the live solution and fed to the supervisor, whose
-// abstract actions are translated into network mutations:
+// This is the one adaptive, event-driven PDN route.  It integrates the
+// stacked (or regular) PDN on sim::AdaptiveStepper with the load step's
+// companion models and epoch-keyed step solver (pdn/transient_core.h), an
+// LTE on the capacitor voltages and a dt_max/16 restart step, lands a step
+// boundary on every injected fault (TimedFaultEvent), and adds a sensing
+// plane: every supervisor sense_interval the per-layer worst droop is
+// sampled from the live solution and fed to the supervisor, whose abstract
+// actions are translated into network mutations:
 //
 //   PhaseRebalance    -> surviving converter phases at the afflicted rails
 //                        are strengthened (R_series lowered by up to the
@@ -31,10 +32,36 @@
 #include <string>
 #include <vector>
 
+#include "pdn/fault.h"
 #include "pdn/transient.h"
 #include "sc/supervisor.h"
 
 namespace vstack::pdn {
+
+/// A fault (or load surge) scheduled to strike during a ride-through run.
+///
+/// Timing semantics: the step controller snaps a step boundary exactly onto
+/// `time` and the event is applied at that boundary (the step starting at
+/// `time` already integrates the post-event topology and loads).  Events at
+/// time <= 0 are applied after the DC initial condition is taken but before
+/// the first step: the run starts from the HEALTHY operating point and the
+/// waveform shows the response from t = 0+.
+///
+/// Applying the faults bumps the working network's topology epoch, which
+/// invalidates every cached factorization/preconditioner, and any event
+/// restarts integration (backward-Euler startup, reduced dt) since the
+/// pre-event history is invalid across the discontinuity.
+struct TimedFaultEvent {
+  double time = 0.0;  // [s] when the event strikes
+  /// Topology perturbations (TSV/C4 opens or degradations, converter
+  /// stuck-off, leakage shorts); may be empty for a pure load surge.
+  FaultSet faults;
+  /// Optional load surge: when non-empty (size = layer count), these
+  /// per-layer activities REPLACE the loads in force from `time` onward.
+  std::vector<double> activities;
+  /// Label recorded in the report's event trail (default "fault event").
+  std::string label;
+};
 
 enum class RideThroughOutcome {
   Recovered,  // droop back inside the recovery band on every live layer
@@ -45,11 +72,15 @@ enum class RideThroughOutcome {
 const char* to_string(RideThroughOutcome outcome);
 
 struct RideThroughOptions {
-  /// Transient engine configuration.  `fault_events` carries the mid-run
-  /// faults / load surges; `step_time` and `adaptive` are ignored (the
-  /// ride-through engine has no built-in load step and always runs the
-  /// adaptive, event-snapping integrator).
+  /// Transient engine configuration; `time_step` is the largest step the
+  /// controller may take and `step_time` is ignored (the ride-through
+  /// engine has no built-in load step).
   PdnTransientOptions transient;
+
+  /// Faults / load surges striking mid-run, applied to a private copy of the
+  /// model's network (the caller's model is never mutated).  Each must
+  /// strike at a finite time before the end of the run.
+  std::vector<TimedFaultEvent> fault_events;
 
   /// Detection / escalation policy (sensing window = detection latency +
   /// hysteresis band + watchdog timeout).
@@ -99,9 +130,9 @@ struct RideThroughResult {
 };
 
 /// Run the fault ride-through scenario: steady per-layer `activities`, the
-/// fault events from options.transient.fault_events, and the supervisor in
-/// the loop.  Throws only on precondition violations; numerical trouble
-/// truncates the waveform and is classified in the report.
+/// fault events from options.fault_events, and the supervisor in the loop.
+/// Throws only on precondition violations; numerical trouble truncates the
+/// waveform and is classified in the report.
 RideThroughResult simulate_ride_through(
     const PdnModel& model, const power::CorePowerModel& core_model,
     const std::vector<double>& activities, const RideThroughOptions& options);

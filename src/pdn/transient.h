@@ -4,61 +4,29 @@
 //
 // On top of the resistive network, this adds per-cell on-chip decoupling
 // capacitance and a package inductance per supply net, then integrates a
-// load step with trapezoidal companions (backward-Euler startup and
-// post-event stabilization in adaptive mode).  Both companion models are
-// pure conductances plus history currents, so the system stays SPD; small
-// systems are factorized once per distinct (dt, scheme) with the
+// load step on a fixed grid with trapezoidal companions.  Both companion
+// models are pure conductances plus history currents, so the system stays
+// SPD; small systems are factorized once per distinct (dt, scheme) with the
 // RCM-reordered skyline Cholesky, larger ones use warm-started CG.
 //
-// Robustness (the one adaptive step loop, sim::AdaptiveStepper, that
-// circuit/transient.h also runs): optional LTE-controlled adaptive stepping
-// that hits the load-step instant exactly, NaN/overflow guards on every
-// candidate solution, linear solves that escalate through la::Solver's
-// degradation ladder instead of throwing, and hard step / wall-clock
-// budgets.  Callers check PdnTransientResult::report instead of catching
-// exceptions.
+// Robustness: NaN/overflow guards on every solution, linear solves that
+// escalate through la::Solver's degradation ladder instead of throwing, and
+// hard step / wall-clock budgets.  Callers check PdnTransientResult::report
+// instead of catching exceptions.  The adaptive, event-driven PDN route --
+// LTE-controlled steps, mid-run faults, the stack supervisor -- is
+// pdn::simulate_ride_through (pdn/ride_through.h).
 //
 // The headline result it enables: voltage stacking draws ~N times less
 // off-chip current, so the L*di/dt droop of a full-power step is far
 // smaller than in the regular PDN with the same package.
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "pdn/fault.h"
 #include "pdn/solver.h"
 #include "sim/step_control.h"
 
 namespace vstack::pdn {
-
-/// A fault (or load surge) scheduled to strike DURING a transient run.
-///
-/// Timing semantics: in adaptive mode the step controller snaps a step
-/// boundary exactly onto `time` and the event is applied at that boundary
-/// (the step starting at `time` already integrates the post-event topology
-/// and loads).  In fixed mode the event is applied at the first grid point
-/// t >= time, mirroring the legacy load-step rule, so runs without events
-/// reproduce historical waveforms bit-for-bit.  Events at time <= 0 are
-/// applied after the DC initial condition is taken but before the first
-/// step: the run starts from the HEALTHY operating point and the waveform
-/// shows the response from t = 0+.
-///
-/// Applying the faults bumps the working network's topology epoch, which
-/// invalidates every cached factorization/preconditioner; adaptive mode also
-/// restarts integration (backward-Euler startup, reduced dt) since the
-/// pre-fault history is invalid across the discontinuity.
-struct TimedFaultEvent {
-  double time = 0.0;  // [s] when the event strikes
-  /// Topology perturbations (TSV/C4 opens or degradations, converter
-  /// stuck-off, leakage shorts); may be empty for a pure load surge.
-  FaultSet faults;
-  /// Optional load surge: when non-empty (size = layer count), these
-  /// per-layer activities REPLACE the loads in force from `time` onward.
-  std::vector<double> activities;
-  /// Label recorded in the report's event trail (default "fault event").
-  std::string label;
-};
 
 struct PdnTransientOptions {
   /// On-chip decoupling capacitance per die area, per layer [F/m^2].
@@ -72,24 +40,15 @@ struct PdnTransientOptions {
   /// Package + board loop inductance per supply net [H].
   double package_inductance = 50e-12;
 
-  /// Fixed mode: the uniform step.  Adaptive mode: the LARGEST step the
-  /// controller may take.
+  /// The load step's uniform step; the ride-through engine's LARGEST step.
   double time_step = 0.5e-9;  // [s]
   double duration = 200e-9;   // [s] total simulated time
-  double step_time = 20e-9;   // [s] when the load step fires
+  /// When the load step fires: the post-step loads take over at the first
+  /// grid point t >= step_time.
+  double step_time = 20e-9;  // [s]
 
-  /// Faults / load surges striking mid-run, applied to a private copy of the
-  /// model's network (the caller's model is never mutated).  See
-  /// TimedFaultEvent for the timing semantics.
-  std::vector<TimedFaultEvent> fault_events;
-
-  /// LTE-controlled adaptive stepping that snaps a step boundary exactly
-  /// onto step_time and every fault-event instant.  Off by default (the
-  /// fixed grid reproduces historical waveforms bit-for-bit); guards,
-  /// budgets and reporting apply either way.
-  bool adaptive = false;
-
-  /// Tolerances, budgets and guard thresholds for the shared controller.
+  /// Budgets and guard thresholds (and, for ride-through, the LTE
+  /// tolerances of the step controller).
   sim::StepControlOptions control;
 
   la::IterativeOptions iterative{.max_iterations = 20000,

@@ -411,27 +411,4 @@ double TransientWorkspace::worst_noise_of(const la::Vector& sol,
   return worst / vdd;
 }
 
-sim::AdaptiveStepper make_stepper(const PdnTransientOptions& options) {
-  const double dt_max = std::min(options.time_step, options.duration);
-  return sim::AdaptiveStepper(options.control, options.duration, dt_max,
-                              dt_max / 16.0);
-}
-
-bool apply_fault_event(const TimedFaultEvent& event, PdnNetwork& net,
-                       TransientWorkspace& ws, double t,
-                       sim::TransientReport& report) {
-  const std::string label = event.label.empty() ? "fault event" : event.label;
-  if (!event.activities.empty()) {
-    report.record_event(t, "load surge '" + label + "' applied");
-  }
-  if (event.faults.empty()) return false;
-  event.faults.apply_to(net);
-  ws.rebuild_topology();
-  report.record_event(t, "fault event '" + label + "' applied (" +
-                             std::to_string(event.faults.size()) +
-                             " faults, topology epoch " +
-                             std::to_string(net.topology_epoch()) + ")");
-  return true;
-}
-
 }  // namespace vstack::pdn::detail

@@ -1,18 +1,20 @@
-// Shared internals of the PDN transient engines (pdn/transient.cpp and
-// pdn/ride_through.cpp): the timestep-independent split system, the
-// epoch-keyed per-(dt, scheme) step solver, the companion-state workspace
-// with the one adaptive PDN step both engines hand to sim::AdaptiveStepper,
-// and mid-run fault-event application.
+// Shared internals of the PDN transient engines (pdn/transient.cpp, the
+// fixed-grid load step, and pdn/ride_through.cpp, the adaptive fault
+// ride-through): the timestep-independent split system, the epoch-keyed
+// per-(dt, scheme) step solver, and the companion-state workspace, whose
+// adaptive_step() is the ride-through engine's step under
+// sim::AdaptiveStepper.
 //
-// Everything here operates on a PdnNetwork the caller owns (the engines copy
-// the model's network so mid-run fault events never mutate caller state).
-// After any topology mutation -- an injected fault, a supervisor action --
-// the caller invokes TransientWorkspace::rebuild_topology(), which
-// reassembles the split system and its sparsity pattern and advances its
-// epoch stamp; StepSolver keys its factorization/preconditioner cache on
-// that epoch, so a stale factorization of the pre-fault topology can never
-// be reused (see docs/fault_model.md section on dynamic faults).  Within one
-// epoch the pattern is fixed, so a step at a new dt only refills values and
+// Everything here reads a PdnNetwork the caller owns: the load step binds
+// the model's network (nothing mutates it), the ride-through engine a
+// private copy that its mid-run faults and supervisor actions mutate.
+// After any topology mutation the caller invokes
+// TransientWorkspace::rebuild_topology(), which reassembles the split
+// system and its sparsity pattern and advances its epoch stamp; StepSolver
+// keys its factorization/preconditioner cache on that epoch, so a stale
+// factorization of the pre-fault topology can never be reused (see
+// docs/fault_model.md section on dynamic faults).  Within one epoch the
+// pattern is fixed, so a step at a new dt only refills values and
 // refactors (docs/transient_engine.md, "Step-matrix cache").
 //
 // This header is an implementation detail of vstack_pdn; it is not part of
@@ -193,17 +195,5 @@ class TransientWorkspace {
   la::Vector candidate_;
   std::vector<double> cap_new_;
 };
-
-/// The adaptive stepper of both PDN engines: steps of at most
-/// min(time_step, duration), restarting at a sixteenth of that.
-sim::AdaptiveStepper make_stepper(const PdnTransientOptions& options);
-
-/// Apply one TimedFaultEvent at time `t`: record its load surge (the caller
-/// swaps in the new loads), apply its faults to `net`, and rebuild `ws`'s
-/// topology, recording both in `report`'s event trail.  Returns whether the
-/// topology changed.
-bool apply_fault_event(const TimedFaultEvent& event, PdnNetwork& net,
-                       TransientWorkspace& ws, double t,
-                       sim::TransientReport& report);
 
 }  // namespace vstack::pdn::detail

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/error.h"
+#include "common/units.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::pgio {
@@ -98,22 +99,13 @@ double parse_grid_value(std::string_view token) {
   std::string suffix;
   for (const char* p = end; *p != '\0'; ++p) suffix += lower_ascii(*p);
   if (suffix.empty()) return value;
-  if (suffix == "meg") return value * 1e6;
-  if (suffix.size() == 1) {
-    switch (suffix.front()) {
-      case 'f': return value * 1e-15;
-      case 'p': return value * 1e-12;
-      case 'n': return value * 1e-9;
-      case 'u': return value * 1e-6;
-      case 'm': return value * 1e-3;
-      case 'k': return value * 1e3;
-      case 'g': return value * 1e9;
-      case 't': return value * 1e12;
-      default: break;
-    }
+  // Only an exact magnitude suffix: benchmark decks carry no unit names.
+  const double scale = units::spice_magnitude(suffix);
+  if (scale == 0.0) {
+    VS_FAIL("unknown value suffix '" + suffix + "' in '" +
+            std::string(token) + "'");
   }
-  VS_FAIL("unknown value suffix '" + suffix + "' in '" + std::string(token) +
-          "'");
+  return value * scale;
 }
 
 PgNetlist read_netlist(std::istream& in, const std::string& source_name,

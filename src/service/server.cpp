@@ -698,7 +698,7 @@ class ServerRun {
     ev.label = "converter bank stuck-off";
     pdn::stick_off_converter_bank(ev.faults, model.network(), fault_level,
                                   spec.keep);
-    opt.transient.fault_events.push_back(std::move(ev));
+    opt.fault_events.push_back(std::move(ev));
 
     const auto result =
         pdn::simulate_ride_through(model, ctx_.core_model, acts, opt);

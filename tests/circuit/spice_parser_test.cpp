@@ -22,11 +22,19 @@ TEST(SpiceValueTest, MagnitudeSuffixes) {
   EXPECT_DOUBLE_EQ(parse_spice_value("1k"), 1e3);
   EXPECT_DOUBLE_EQ(parse_spice_value("1meg"), 1e6);
   EXPECT_DOUBLE_EQ(parse_spice_value("2g"), 2e9);
+  EXPECT_DOUBLE_EQ(parse_spice_value("1T"), 1e12);
+  // SPICE reads the first suffix letter (or a `meg` prefix) and skips the
+  // unit name after it; the benchmark-grid reader (pgio) rejects these.
+  EXPECT_DOUBLE_EQ(parse_spice_value("10uF"), 10e-6);
+  EXPECT_DOUBLE_EQ(parse_spice_value("1megohm"), 1e6);
+  EXPECT_DOUBLE_EQ(parse_spice_value("2MEG"), 2e6);
+  EXPECT_DOUBLE_EQ(parse_spice_value("3mil"), 3e-3);  // m is milli
 }
 
 TEST(SpiceValueTest, RejectsGarbage) {
   EXPECT_THROW(parse_spice_value("abc"), Error);
   EXPECT_THROW(parse_spice_value("1x"), Error);
+  EXPECT_THROW(parse_spice_value("1V"), Error);
   EXPECT_THROW(parse_spice_value(""), Error);
 }
 

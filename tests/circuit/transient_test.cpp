@@ -459,6 +459,23 @@ TEST(TransientTest, AdaptiveModeKeepsTheEngineRecoveryEvents) {
   }
 }
 
+TEST(TransientTest, AdaptiveModeGminEventOncePerPattern) {
+  // Adaptive mode factors every attempted step, but a switch pattern that
+  // needed a gmin shift is factored at that shift directly afterwards: one
+  // gmin event per pattern (two phases), and nothing dropped from the
+  // bounded trail.
+  const Netlist net = dangling_node_netlist();
+  TransientSimulator sim(net, 1e-6);
+  TransientOptions opts;
+  opts.stop_time = 5e-6;
+  opts.time_step = 1e-8;
+  opts.mode = SteppingMode::Adaptive;
+  const TransientResult r = sim.run(opts);
+  ASSERT_TRUE(r.ok()) << r.report.summary();
+  EXPECT_EQ(gmin_events(r.report), 2u);
+  EXPECT_EQ(r.report.events_dropped, 0u);
+}
+
 #if VSTACK_TELEMETRY_ENABLED
 double counter(const std::string& name) {
   return telemetry::snapshot().counter_value(name);

@@ -77,7 +77,7 @@ RideThroughOptions with_fault(const PdnModel& model, std::size_t level,
   ev.time = fault_time;
   ev.faults = kill_level_converters(model, level, keep);
   ev.label = "conv-kill";
-  o.transient.fault_events.push_back(ev);
+  o.fault_events.push_back(ev);
   return o;
 }
 

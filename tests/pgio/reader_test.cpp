@@ -23,6 +23,8 @@ TEST(ParseGridValue, SpiceSuffixes) {
   EXPECT_DOUBLE_EQ(parse_grid_value("1g"), 1e9);
   EXPECT_DOUBLE_EQ(parse_grid_value("2t"), 2e12);
   EXPECT_DOUBLE_EQ(parse_grid_value("-0.5"), -0.5);
+  EXPECT_DOUBLE_EQ(parse_grid_value("10U"), 10e-6);
+  EXPECT_DOUBLE_EQ(parse_grid_value("2MEG"), 2e6);
 }
 
 TEST(ParseGridValue, Rejections) {
@@ -30,6 +32,11 @@ TEST(ParseGridValue, Rejections) {
   EXPECT_THROW(parse_grid_value("abc"), Error);
   EXPECT_THROW(parse_grid_value("1x"), Error);
   EXPECT_THROW(parse_grid_value("1kk"), Error);
+  // Only the exact suffix: unlike the circuit parser's SPICE grammar, a
+  // unit name after the magnitude is rejected.
+  EXPECT_THROW(parse_grid_value("10uF"), Error);
+  EXPECT_THROW(parse_grid_value("1megohm"), Error);
+  EXPECT_THROW(parse_grid_value("3mil"), Error);
   EXPECT_THROW(parse_grid_value("1e400"), Error);  // overflows to inf
 }
 

@@ -363,7 +363,7 @@ int cmd_ride_through(const core::StudyContext& ctx, const CliArgs& args) {
   std::cout << "fault: " << ev.faults.size() << " of " << bank
             << " converters at level " << fault_level << " stuck off at "
             << TextTable::num(ev.time * 1e9, 1) << " ns\n";
-  opt.transient.fault_events.push_back(std::move(ev));
+  opt.fault_events.push_back(std::move(ev));
 
   if (args.get_size("jobs", 1) > 1) {
     std::cout << "note: ride-through is a single scenario; --jobs only "
